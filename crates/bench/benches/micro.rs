@@ -23,18 +23,62 @@ use pdagent_vm::{run, AgentState, MapHost, Value};
 use pdagent_xml::Element;
 
 fn sample_pi_doc(n_tx: u32) -> String {
+    padded_pi_doc(n_tx, None)
+}
+
+/// A PI document carrying `n_tx` transactions and, optionally, the user-data
+/// pad the soak and the repository benchmark attach.
+fn padded_pi_doc(n_tx: u32, pad: Option<String>) -> String {
     let txs: Vec<Transaction> = (0..n_tx)
         .map(|i| Transaction::new("bank-a", "alice", "payee", 1000 + i as i64))
         .collect();
+    let mut params = vec![transactions_param(&txs)];
+    params.extend(pad.map(|pad| ("pi_pad".to_owned(), Value::Str(pad))));
     let pi = PackedInformation {
         code_id: "ebank@dev#1".into(),
         auth_key: "0123456789abcdef0123456789abcdef".into(),
         program: ebank_program(),
         itinerary: vec!["bank-a".into(), "bank-b".into()],
-        params: vec![transactions_param(&txs)],
+        params,
         fuel_per_hop: 1_000_000,
     };
     pi.to_document_string()
+}
+
+/// SplitMix64 draws in `0..n`, so the pads need no dependency.
+fn splitmix_below(state: &mut u64, n: u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) % n
+}
+
+/// `len` characters of the base64 alphabet: Auto picks Huffman.
+fn base64_pad(len: usize, seed: u64) -> String {
+    const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let mut state = seed;
+    (0..len).map(|_| ALPHABET[splitmix_below(&mut state, 64) as usize] as char).collect()
+}
+
+/// `len` bytes of words from a small vocabulary: Auto picks LZSS+Huffman.
+fn word_pad(len: usize, seed: u64) -> String {
+    const VOCABULARY: &str =
+        "the payment account transfer balance bank agent device please confirm monthly rent \
+        invoice number due before friday and send receipt to my office address \
+        for records with reference order of goods delivered last week thank you \
+        note that this is a standing instruction from customer service branch settlement";
+    let words: Vec<&str> = VOCABULARY.split(' ').collect();
+    let mut state = seed;
+    let mut out = String::with_capacity(len + 16);
+    while out.len() < len {
+        if !out.is_empty() {
+            out.push_str(if splitmix_below(&mut state, 12) == 0 { ". " } else { " " });
+        }
+        out.push_str(words[splitmix_below(&mut state, words.len() as u64) as usize]);
+    }
+    out.truncate(len);
+    out
 }
 
 fn bench_xml(c: &mut Criterion) {
@@ -68,6 +112,22 @@ fn bench_compression(c: &mut Criterion) {
             &packed,
             |b, packed| b.iter(|| decompress(std::hint::black_box(packed)).unwrap()),
         );
+    }
+    // Auto on the 48 KiB PIs the soak and the repository benchmark ship;
+    // the small sample PI above under-predicts their cost.
+    let pads = [("base64", base64_pad(48 * 1024, 1)), ("words", word_pad(48 * 1024, 1))];
+    for (content, pad) in pads {
+        let doc = padded_pi_doc(4, Some(pad));
+        let bytes = doc.as_bytes();
+        let id = format!("auto_48k_{content}");
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
+        group.bench_with_input(BenchmarkId::new("compress", &id), bytes, |b, bytes| {
+            b.iter(|| compress(std::hint::black_box(bytes), Algorithm::Auto))
+        });
+        let packed = compress(bytes, Algorithm::Auto);
+        group.bench_with_input(BenchmarkId::new("decompress", &id), &packed, |b, packed| {
+            b.iter(|| decompress(std::hint::black_box(packed)).unwrap())
+        });
     }
     group.finish();
 }

@@ -1,11 +1,19 @@
 //! MSB-first bit-level I/O, shared by the LZSS and Huffman coders.
+//!
+//! Both sides keep a 64-bit accumulator and move whole bytes between it and
+//! the byte buffer, so a multi-bit field costs a shift and a mask rather than
+//! a loop over its bits. The format is plain MSB-first packing: the first bit
+//! written is the top bit of the first byte, and [`BitWriter::finish`] pads
+//! the final byte with zero bits.
 
 /// Accumulates bits MSB-first into a byte vector.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    current: u8,
-    used: u8,
+    /// Pending bits, right-aligned: the low `used` bits, oldest first.
+    acc: u64,
+    /// Number of pending bits in `acc`; always below 32 between calls.
+    used: u32,
 }
 
 impl BitWriter {
@@ -14,15 +22,14 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Write a single bit (any nonzero `bit` counts as 1).
+    /// New writer whose buffer has room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        BitWriter { out: Vec::with_capacity(bytes), ..Self::default() }
+    }
+
+    /// Write a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        self.current = (self.current << 1) | bit as u8;
-        self.used += 1;
-        if self.used == 8 {
-            self.out.push(self.current);
-            self.current = 0;
-            self.used = 0;
-        }
+        self.write_bits(bit as u32, 1);
     }
 
     /// Write the low `count` bits of `value`, MSB first.
@@ -31,21 +38,29 @@ impl BitWriter {
     /// Panics if `count > 32`.
     pub fn write_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "write_bits supports at most 32 bits");
-        for i in (0..count).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        let count = u32::from(count);
+        let mask = (1u64 << count) - 1;
+        self.acc = (self.acc << count) | (u64::from(value) & mask);
+        self.used += count;
+        if self.used >= 32 {
+            self.used -= 32;
+            self.out.extend_from_slice(&((self.acc >> self.used) as u32).to_be_bytes());
         }
     }
 
     /// Number of complete bytes plus any partial byte.
     pub fn byte_len(&self) -> usize {
-        self.out.len() + usize::from(self.used > 0)
+        self.out.len() + self.used.div_ceil(8) as usize
     }
 
     /// Pad the final partial byte with zero bits and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.used >= 8 {
+            self.used -= 8;
+            self.out.push((self.acc >> self.used) as u8);
+        }
         if self.used > 0 {
-            self.current <<= 8 - self.used;
-            self.out.push(self.current);
+            self.out.push((self.acc << (8 - self.used)) as u8);
         }
         self.out
     }
@@ -55,8 +70,14 @@ impl BitWriter {
 #[derive(Debug)]
 pub struct BitReader<'a> {
     input: &'a [u8],
-    byte_pos: usize,
-    bit_pos: u8,
+    /// Next byte of `input` not yet loaded into `buf`.
+    pos: usize,
+    /// Loaded bits, left-aligned: the top `avail` bits are the next ones in
+    /// the stream. The bits below them are zero or already hold the bits
+    /// that follow, which is what lets [`BitReader::refill`] OR a whole word in.
+    buf: u64,
+    /// Number of valid bits at the top of `buf`.
+    avail: u32,
 }
 
 /// Error returned when the bit stream runs out.
@@ -74,37 +95,82 @@ impl std::error::Error for BitEof {}
 impl<'a> BitReader<'a> {
     /// Reader over `input`.
     pub fn new(input: &'a [u8]) -> Self {
-        BitReader { input, byte_pos: 0, bit_pos: 0 }
+        BitReader { input, pos: 0, buf: 0, avail: 0 }
+    }
+
+    /// Load bytes until at least 56 bits are buffered or the input ends.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.input.get(self.pos..self.pos + 8) {
+            // Branch-free refill: OR in a whole big-endian word and advance
+            // by the bytes that fit; the partial byte below is loaded again,
+            // at the same position, next time.
+            let word = u64::from_be_bytes(word.try_into().expect("8-byte slice"));
+            self.buf |= word >> self.avail;
+            self.pos += ((63 - self.avail) >> 3) as usize;
+            self.avail |= 56;
+        } else {
+            while self.avail <= 56 && self.pos < self.input.len() {
+                self.buf |= u64::from(self.input[self.pos]) << (56 - self.avail);
+                self.pos += 1;
+                self.avail += 8;
+            }
+        }
     }
 
     /// Read one bit.
     pub fn read_bit(&mut self) -> Result<bool, BitEof> {
-        let byte = *self.input.get(self.byte_pos).ok_or(BitEof)?;
-        let bit = (byte >> (7 - self.bit_pos)) & 1 == 1;
-        self.bit_pos += 1;
-        if self.bit_pos == 8 {
-            self.bit_pos = 0;
-            self.byte_pos += 1;
-        }
-        Ok(bit)
+        self.read_bits(1).map(|b| b == 1)
     }
 
     /// Read `count` bits MSB-first into the low bits of a `u32`.
+    ///
+    /// On [`BitEof`] the reader's position is unspecified; callers stop.
     ///
     /// # Panics
     /// Panics if `count > 32`.
     pub fn read_bits(&mut self, count: u8) -> Result<u32, BitEof> {
         assert!(count <= 32, "read_bits supports at most 32 bits");
-        let mut value = 0u32;
-        for _ in 0..count {
-            value = (value << 1) | self.read_bit()? as u32;
+        if count == 0 {
+            return Ok(0);
         }
+        let value = self.peek(count);
+        self.consume(count)?;
         Ok(value)
+    }
+
+    /// The next `count` (1..=32) bits MSB-first, without consuming them.
+    /// Positions past the end of the input read as zero bits.
+    #[inline]
+    pub(crate) fn peek(&mut self, count: u8) -> u32 {
+        debug_assert!((1..=32).contains(&count));
+        if self.avail < u32::from(count) {
+            self.refill();
+        }
+        (self.buf >> (64 - u32::from(count))) as u32
+    }
+
+    /// Drop the next `count` (0..=32) bits, typically after a [`peek`].
+    ///
+    /// [`peek`]: BitReader::peek
+    #[inline]
+    pub(crate) fn consume(&mut self, count: u8) -> Result<(), BitEof> {
+        debug_assert!(count <= 32);
+        let count = u32::from(count);
+        if self.avail < count {
+            self.refill();
+            if self.avail < count {
+                return Err(BitEof);
+            }
+        }
+        self.buf <<= count;
+        self.avail -= count;
+        Ok(())
     }
 
     /// Bits remaining in the stream.
     pub fn remaining_bits(&self) -> usize {
-        (self.input.len() - self.byte_pos) * 8 - self.bit_pos as usize
+        (self.input.len() - self.pos) * 8 + self.avail as usize
     }
 }
 
@@ -175,5 +241,60 @@ mod tests {
         w.write_bit(true);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b1000_0000]);
+    }
+
+    /// Per-bit reference packing: the format the accumulators must reproduce.
+    fn pack_per_bit(fields: &[(u32, u8)]) -> Vec<u8> {
+        let bits: Vec<bool> = fields
+            .iter()
+            .flat_map(|&(v, n)| (0..n).rev().map(move |i| (v >> i) & 1 == 1))
+            .collect();
+        bits.chunks(8)
+            .map(|c| c.iter().enumerate().fold(0u8, |b, (i, &bit)| b | (u8::from(bit) << (7 - i))))
+            .collect()
+    }
+
+    /// Seeded `(value, width)` fields with widths 0..=32.
+    fn fields(seed: u64, n: usize) -> Vec<(u32, u8)> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x as u32, (x >> 40) as u8 % 33)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn accumulators_match_per_bit_packing() {
+        for seed in 1..60u64 {
+            let f = fields(seed, seed as usize * 5);
+            let mut w = BitWriter::new();
+            for &(v, n) in &f {
+                w.write_bits(v, n);
+            }
+            let len = w.byte_len();
+            let bytes = w.finish();
+            assert_eq!(bytes, pack_per_bit(&f), "seed {seed}");
+            assert_eq!(len, bytes.len());
+            let mut r = BitReader::new(&bytes);
+            for &(v, n) in &f {
+                let mask = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+                assert_eq!(r.read_bits(n).unwrap(), v & mask, "seed {seed}");
+            }
+            assert!(r.remaining_bits() < 8);
+        }
+    }
+
+    #[test]
+    fn peek_pads_with_zeros_and_consume_stops_at_end() {
+        let mut r = BitReader::new(&[0b1011_0001]);
+        assert_eq!(r.peek(12), 0b1011_0001_0000);
+        r.consume(3).unwrap();
+        assert_eq!(r.peek(8), 0b1000_1000);
+        assert_eq!(r.remaining_bits(), 5);
+        assert_eq!(r.consume(6), Err(BitEof));
     }
 }

@@ -4,9 +4,19 @@
 //! then the algorithm-specific payload. A receiver (the gateway, or the
 //! device unpacking a downloaded agent) needs no out-of-band information.
 //!
-//! [`Algorithm::Auto`] tries every real algorithm and keeps the smallest
-//! output, falling back to [`Algorithm::Store`] when compression does not
-//! pay — so `compress` never expands data by more than the 6–15 byte header.
+//! [`Algorithm::Auto`] keeps the smallest payload, falling back to
+//! [`Algorithm::Store`] when compression does not pay — so `compress` never
+//! expands data by more than the 6–15 byte header. It sizes every candidate
+//! before encoding any of them: Store is the input length, RLE and Huffman
+//! sizes are exact from one scan and the byte histogram, and LZSS is encoded
+//! once, its stream serving as the LZSS payload, as the input whose histogram
+//! sizes LZSS+Huffman, and as that payload's inner layer. Only the winner is
+//! then encoded. The winner is the first strictly smallest payload in the
+//! order Store, Rle, Lzss, Huffman, LzssHuffman (payload length, not
+//! container length), so the output is byte-identical to encoding every
+//! candidate and comparing.
+
+use std::borrow::Cow;
 
 use crate::{huffman, lzss, rle, varint};
 
@@ -102,49 +112,61 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn encode_with(data: &[u8], alg: Algorithm) -> Vec<u8> {
+/// `alg`'s payload for `data`, where `lz` is `lzss::encode(data)` whenever
+/// `alg` uses LZSS.
+fn payload<'a>(data: &'a [u8], alg: Algorithm, lz: &'a [u8]) -> Cow<'a, [u8]> {
     match alg {
-        Algorithm::Store => data.to_vec(),
-        Algorithm::Rle => rle::encode(data),
-        Algorithm::Lzss => lzss::encode(data),
-        Algorithm::Huffman => huffman::encode(data),
-        Algorithm::LzssHuffman => huffman::encode(&lzss::encode(data)),
-        Algorithm::Auto => unreachable!(),
+        Algorithm::Store => Cow::Borrowed(data),
+        Algorithm::Rle => rle::encode(data).into(),
+        Algorithm::Lzss => Cow::Borrowed(lz),
+        Algorithm::Huffman => huffman::encode(data).into(),
+        Algorithm::LzssHuffman => huffman::encode(lz).into(),
+        Algorithm::Auto => unreachable!("Auto is resolved before encoding"),
     }
+}
+
+/// Auto's winner, sized without encoding anything but `lz`.
+fn auto_pick(data: &[u8], lz: &[u8]) -> Algorithm {
+    let sizes = [
+        (Algorithm::Store, data.len()),
+        (Algorithm::Rle, rle::encoded_len(data)),
+        (Algorithm::Lzss, lz.len()),
+        (Algorithm::Huffman, huffman::encoded_len(data)),
+        (Algorithm::LzssHuffman, huffman::encoded_len(lz)),
+    ];
+    // `min_by_key` keeps the first of equal minima: ties go to the earlier
+    // algorithm, so only a strictly smaller payload displaces one.
+    sizes.into_iter().min_by_key(|&(_, len)| len).expect("five candidates").0
 }
 
 /// Compress `data` into a `PDAZ` container.
 pub fn compress(data: &[u8], alg: Algorithm) -> Vec<u8> {
+    let lz = match alg {
+        Algorithm::Auto | Algorithm::Lzss | Algorithm::LzssHuffman => lzss::encode(data),
+        _ => Vec::new(),
+    };
     let (alg, payload) = match alg {
         Algorithm::Auto => {
-            let mut best = (Algorithm::Store, data.to_vec());
-            for cand in [Algorithm::Rle, Algorithm::Lzss, Algorithm::Huffman, Algorithm::LzssHuffman]
-            {
-                let enc = encode_with(data, cand);
-                if enc.len() < best.1.len() {
-                    best = (cand, enc);
-                }
-            }
-            best
+            let winner = auto_pick(data, &lz);
+            (winner, payload(data, winner, &lz))
         }
         other => {
-            let enc = encode_with(data, other);
+            let enc = payload(data, other, &lz);
             // Never ship an expanded payload: fall back to Store.
             if enc.len() >= data.len() && other != Algorithm::Store {
-                (Algorithm::Store, data.to_vec())
+                (Algorithm::Store, Cow::Borrowed(data))
             } else {
                 (other, enc)
             }
         }
     };
-    let mut out = Vec::with_capacity(payload.len() + 16);
+    let mut out = Vec::with_capacity(payload.len() + 25);
     out.extend_from_slice(MAGIC);
     out.push(alg.to_byte());
     varint::write_usize(&mut out, data.len());
     // For LzssHuffman the Huffman layer needs the intermediate length too.
     if alg == Algorithm::LzssHuffman {
-        let mid = lzss::encode(data);
-        varint::write_usize(&mut out, mid.len());
+        varint::write_usize(&mut out, lz.len());
     }
     out.extend_from_slice(&payload);
     out
@@ -212,6 +234,8 @@ pub fn ratio(container: &[u8]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     const SAMPLE: &[u8] = b"<agent><op>transfer</op><op>transfer</op><op>balance</op>\
         <from>acct-0001</from><to>acct-0002</to><amount>125.50</amount></agent>";
@@ -303,6 +327,75 @@ mod tests {
         let packed = compress(data, Algorithm::Rle);
         assert_eq!(sniff_algorithm(&packed).unwrap(), Algorithm::Store);
         assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    /// `PDAZ`, `alg`, a varint claiming 2^40 bytes, then junk.
+    fn hostile_container(alg: u8) -> Vec<u8> {
+        let mut c = MAGIC.to_vec();
+        c.push(alg);
+        varint::write_u64(&mut c, 1 << 40);
+        if alg == Algorithm::LzssHuffman.to_byte() {
+            varint::write_u64(&mut c, 1 << 40);
+        }
+        c.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 0xfe, 0xed, 0xfa, 0xce]);
+        c
+    }
+
+    #[test]
+    fn huge_claimed_length_is_an_error_not_an_abort() {
+        let lzss = hostile_container(Algorithm::Lzss.to_byte());
+        assert_eq!(lzss.len(), 19);
+        assert!(decompress(&lzss).is_err());
+        for alg in [Algorithm::Huffman, Algorithm::LzssHuffman] {
+            assert!(decompress(&hostile_container(alg.to_byte())).is_err(), "{alg:?}");
+        }
+        // An honest stream under a lying header fails the same way.
+        let mut lying = compress(&SAMPLE.repeat(4), Algorithm::Huffman);
+        lying.splice(5..7, {
+            let mut v = Vec::new();
+            varint::write_u64(&mut v, 1 << 40);
+            v
+        });
+        assert!(decompress(&lying).is_err());
+    }
+
+    /// Inputs mixing random bytes, runs and a small alphabet, so that every
+    /// algorithm wins on some of them.
+    fn mixed_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const TAG: &[u8] = br#"<agent op="pay">"#;
+        pvec((any::<u8>(), 0u8..4, 1usize..40), 0..300).prop_map(|chunks| {
+            let mut out = Vec::new();
+            for (byte, mode, len) in chunks {
+                match mode {
+                    0 => out.push(byte),
+                    1 => out.extend(std::iter::repeat_n(byte, len)),
+                    2 => out.extend((0..len).map(|k| TAG[(k + byte as usize) % TAG.len()])),
+                    _ => out.extend((0..len).map(|k| b'a' + (byte.wrapping_mul(k as u8) % 6))),
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Auto matches trial-encoding every candidate: the first strictly
+        /// smallest payload wins, and its bytes are the forced encoding's.
+        #[test]
+        fn auto_picks_the_first_smallest_payload(data in mixed_bytes()) {
+            let lz = lzss::encode(&data);
+            let mut best = (Algorithm::Store, data.len());
+            for alg in [Algorithm::Rle, Algorithm::Lzss, Algorithm::Huffman, Algorithm::LzssHuffman] {
+                let len = payload(&data, alg, &lz).len();
+                if len < best.1 {
+                    best = (alg, len);
+                }
+            }
+            let packed = compress(&data, Algorithm::Auto);
+            prop_assert_eq!(sniff_algorithm(&packed).unwrap(), best.0);
+            prop_assert_eq!(packed, compress(&data, best.0));
+        }
     }
 
     #[test]

@@ -51,10 +51,14 @@ impl std::fmt::Display for LzssError {
 
 impl std::error::Error for LzssError {}
 
+/// Bits in one match token: flag, 12-bit distance, 4-bit length.
+const MATCH_BITS: usize = 17;
+
 /// Compress `data`. Returns the raw LZSS bit stream (no header; pair it with
 /// the original length, as [`crate::compress`] does).
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
+    // Literals cost 9 bits: size for the incompressible case up front.
+    let mut w = BitWriter::with_capacity(data.len() + data.len() / 8 + 1);
     // Hash chains over 3-byte prefixes for O(1) candidate lookup.
     const HASH_SIZE: usize = 1 << 13;
     let mut head = vec![usize::MAX; HASH_SIZE];
@@ -74,20 +78,25 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             let h = hash3(data, i);
             let mut cand = head[h];
             let mut chain_budget = 64; // bounded search keeps encoding O(n)
+            let limit = (data.len() - i).min(MAX_MATCH);
             while cand != usize::MAX && chain_budget > 0 {
                 if i - cand > WINDOW {
                     break;
                 }
-                let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - cand;
-                    if l == limit {
-                        break;
+                // Only a candidate that also matches at `best_len` can beat
+                // the best so far; skip the rest without comparing them.
+                if data[cand + best_len] == data[i + best_len] {
+                    let l = data[cand..cand + limit]
+                        .iter()
+                        .zip(&data[i..i + limit])
+                        .take_while(|(a, b)| a == b)
+                        .count();
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
                 cand = prev[cand];
@@ -95,9 +104,9 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             }
         }
         if best_len >= MIN_MATCH {
-            w.write_bit(false);
-            w.write_bits((best_dist - 1) as u32, 12);
-            w.write_bits((best_len - MIN_MATCH) as u32, 4);
+            // Flag 0, distance, length in one 17-bit field.
+            let token = ((best_dist - 1) << 4 | (best_len - MIN_MATCH)) as u32;
+            w.write_bits(token, MATCH_BITS as u8);
             // Insert all covered positions into the hash chains.
             let end = i + best_len;
             while i < end {
@@ -109,8 +118,8 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
                 i += 1;
             }
         } else {
-            w.write_bit(true);
-            w.write_bits(data[i] as u32, 8);
+            // Flag 1, then the byte.
+            w.write_bits(0x100 | data[i] as u32, 9);
             if i + MIN_MATCH <= data.len() {
                 let h = hash3(data, i);
                 prev[i] = head[h];
@@ -125,25 +134,33 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// Decompress an LZSS stream into exactly `original_len` bytes.
 pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, LzssError> {
     let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(original_len);
+    // A token of at least 9 bits yields at most MAX_MATCH bytes, and matches
+    // (the only tokens longer than one byte) take 17 bits: the payload bounds
+    // the output whatever length the container claims.
+    let bound = (r.remaining_bits() / MATCH_BITS + 1) * MAX_MATCH;
+    let mut out = Vec::with_capacity(original_len.min(bound));
     while out.len() < original_len {
-        let is_literal = r.read_bit().map_err(|_| LzssError::Truncated)?;
-        if is_literal {
-            let byte = r.read_bits(8).map_err(|_| LzssError::Truncated)? as u8;
-            out.push(byte);
+        // Peek a whole match token; a literal uses the first 9 of its bits.
+        let token = r.peek(MATCH_BITS as u8) as usize;
+        if token >> 16 == 1 {
+            r.consume(9).map_err(|_| LzssError::Truncated)?;
+            out.push((token >> 8) as u8);
         } else {
-            let dist = r.read_bits(12).map_err(|_| LzssError::Truncated)? as usize + 1;
-            let len = r.read_bits(4).map_err(|_| LzssError::Truncated)? as usize + MIN_MATCH;
+            r.consume(MATCH_BITS as u8).map_err(|_| LzssError::Truncated)?;
+            let dist = (token >> 4 & 0xfff) + 1;
+            let len = (token & 0xf) + MIN_MATCH;
             if dist > out.len() {
                 return Err(LzssError::BadDistance { at: out.len(), distance: dist });
             }
             let start = out.len() - dist;
-            for k in 0..len {
-                if out.len() == original_len {
-                    break;
+            let len = len.min(original_len - out.len());
+            if dist >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Overlapping copy: each byte may be one this match wrote.
+                for k in start..start + len {
+                    out.push(out[k]);
                 }
-                let byte = out[start + k];
-                out.push(byte);
             }
         }
     }
@@ -230,6 +247,24 @@ mod tests {
         let enc = encode(b"hello world, hello world, hello world");
         let cut = &enc[..enc.len() / 2];
         assert!(matches!(decode(cut, 38), Err(LzssError::Truncated)));
+    }
+
+    #[test]
+    fn every_cut_is_truncated_or_exact() {
+        let data = br#"<param name="a">abcabcabc</param><param name="b">abcab</param>"#.repeat(6);
+        let enc = encode(&data);
+        for cut in 0..enc.len() {
+            match decode(&enc[..cut], data.len()) {
+                Ok(out) => assert_eq!(out, data),
+                Err(e) => assert_eq!(e, LzssError::Truncated, "cut {cut}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_length_does_not_preallocate() {
+        let junk = [0xde, 0xad, 0xbe, 0xef, 0xfe, 0xed, 0xfa, 0xce];
+        assert!(decode(&junk, 1 << 40).is_err());
     }
 
     #[test]

@@ -21,22 +21,19 @@ impl std::fmt::Display for RleError {
 
 impl std::error::Error for RleError {}
 
-/// Run-length encode `data`.
-pub fn encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+/// One step of the encoder's walk over its input.
+enum Packet {
+    /// `data[start..end]` goes out as literal blocks of up to 128 bytes.
+    Literals(usize, usize),
+    /// A run of 3..=129 copies of a byte.
+    Run(u8, usize),
+}
+
+/// Walk `data` the way [`encode`] packs it; [`encoded_len`] takes the same
+/// walk without writing anything.
+fn packets(data: &[u8], mut emit: impl FnMut(Packet)) {
     let mut i = 0;
     let mut literal_start = 0;
-
-    fn flush_literals(out: &mut Vec<u8>, data: &[u8], start: usize, end: usize) {
-        let mut s = start;
-        while s < end {
-            let n = (end - s).min(128);
-            out.push((n - 1) as u8);
-            out.extend_from_slice(&data[s..s + n]);
-            s += n;
-        }
-    }
-
     while i < data.len() {
         let run_byte = data[i];
         let mut run_len = 1;
@@ -44,17 +41,40 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             run_len += 1;
         }
         if run_len >= 3 {
-            flush_literals(&mut out, data, literal_start, i);
-            out.push((run_len + 126) as u8);
-            out.push(run_byte);
-            i += run_len;
-            literal_start = i;
-        } else {
-            i += run_len;
+            emit(Packet::Literals(literal_start, i));
+            emit(Packet::Run(run_byte, run_len));
+            literal_start = i + run_len;
         }
+        i += run_len;
     }
-    flush_literals(&mut out, data, literal_start, data.len());
+    emit(Packet::Literals(literal_start, data.len()));
+}
+
+/// Run-length encode `data`.
+pub fn encode(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    packets(data, |packet| match packet {
+        Packet::Literals(start, end) => {
+            for block in data[start..end].chunks(128) {
+                out.push((block.len() - 1) as u8);
+                out.extend_from_slice(block);
+            }
+        }
+        Packet::Run(byte, len) => out.extend_from_slice(&[(len + 126) as u8, byte]),
+    });
     out
+}
+
+/// Exact length of [`encode`]`(data)`, from one scan and no allocation.
+pub(crate) fn encoded_len(data: &[u8]) -> usize {
+    let mut len = 0;
+    packets(data, |packet| {
+        len += match packet {
+            Packet::Literals(start, end) => (end - start) + (end - start).div_ceil(128),
+            Packet::Run(..) => 2,
+        }
+    });
+    len
 }
 
 /// Decode an RLE stream produced by [`encode`].
@@ -146,6 +166,17 @@ mod tests {
     fn truncated_literal_errors() {
         // Control says 4 literals but only 2 present.
         assert!(decode(&[3, b'a', b'b']).is_err());
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let mut mixed = b"header".to_vec();
+        mixed.extend(std::iter::repeat_n(b' ', 300));
+        mixed.extend((0..=255u8).cycle().take(700));
+        mixed.extend_from_slice(b"aabbbcc");
+        for data in [&b""[..], b"a", b"aa", b"aaa", b"abcdef", &[7u8; 500], &mixed] {
+            assert_eq!(encoded_len(data), encode(data).len(), "{data:?}");
+        }
     }
 
     #[test]

@@ -52,4 +52,9 @@ cargo build --release -p pdagent-bench --bin event_queue
 ./target/release/event_queue 200000 5000 42 > /dev/null
 cargo bench -p pdagent-bench --bench event_queue -- arm_cancel_fire > /dev/null
 
+# Codec micro-bench smoke: the compression group, including Auto compress and
+# decompress on the 48 KiB base64 and word-text PIs, must run clean. The
+# positional argument is the criterion name filter, so no other group runs.
+cargo bench -p pdagent-bench --bench micro -- compression > /dev/null
+
 echo "verify: OK"

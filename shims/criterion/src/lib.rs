@@ -7,6 +7,11 @@
 //! Statistics are intentionally simple: an adaptive calibration pass picks an
 //! iteration count per sample, then the median of `sample_size` samples is
 //! reported, with derived throughput when one was declared.
+//!
+//! As upstream, the first positional command-line argument filters the run:
+//! `cargo bench --bench micro -- security` runs only the benchmarks whose
+//! `group/id` name contains `security`. Flags (such as the `--bench` that
+//! `cargo bench` passes) are ignored.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -127,12 +132,17 @@ fn human_rate(per_sec: f64, unit: &str) -> String {
     }
 }
 
+/// Run and report one benchmark, unless the name filter excludes it.
 fn run_one(
+    criterion: &Criterion,
     name: &str,
     samples: usize,
     throughput: Option<Throughput>,
     f: &mut dyn FnMut(&mut Bencher<'_>),
 ) {
+    if !criterion.selected(name) {
+        return;
+    }
     let mut result = None;
     let mut bencher = Bencher {
         samples: samples.max(2),
@@ -198,7 +208,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     samples: usize,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -221,7 +231,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let name = format!("{}/{}", self.name, id.into_benchmark_name());
-        run_one(&name, self.samples, self.throughput, &mut f);
+        run_one(self.criterion, &name, self.samples, self.throughput, &mut f);
         self
     }
 
@@ -233,7 +243,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let name = format!("{}/{}", self.name, id.into_benchmark_name());
-        run_one(&name, self.samples, self.throughput, &mut |b| f(b, input));
+        run_one(self.criterion, &name, self.samples, self.throughput, &mut |b| f(b, input));
         self
     }
 
@@ -265,19 +275,30 @@ impl IntoBenchmarkName for BenchmarkId {
 /// The harness entry point handed to each `criterion_group!` target.
 pub struct Criterion {
     default_samples: usize,
+    /// Substring a benchmark's full name must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { default_samples: 20 }
+        Criterion { default_samples: 20, filter: name_filter(std::env::args().skip(1)) }
     }
 }
 
+/// The first positional argument, skipping flags such as `--bench`.
+fn name_filter(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|a| !a.starts_with('-'))
+}
+
 impl Criterion {
+    fn selected(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
     /// Open a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let samples = self.default_samples;
-        BenchmarkGroup { name: name.into(), samples, throughput: None, _criterion: self }
+        BenchmarkGroup { name: name.into(), samples, throughput: None, criterion: self }
     }
 
     /// Run a single ungrouped benchmark.
@@ -286,7 +307,7 @@ impl Criterion {
         name: impl IntoBenchmarkName,
         mut f: F,
     ) -> &mut Self {
-        run_one(&name.into_benchmark_name(), self.default_samples, None, &mut f);
+        run_one(self, &name.into_benchmark_name(), self.default_samples, None, &mut f);
         self
     }
 }
@@ -319,7 +340,35 @@ macro_rules! criterion_main {
 
 #[cfg(test)]
 mod tests {
-    use super::spread_stats;
+    use super::{name_filter, spread_stats, Criterion};
+
+    fn args(list: &[&str]) -> impl Iterator<Item = String> {
+        list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
+    }
+
+    #[test]
+    fn first_positional_argument_filters_by_substring() {
+        assert_eq!(name_filter(args(&["--bench", "security"])).as_deref(), Some("security"));
+        assert_eq!(name_filter(args(&["--bench"])), None);
+        let c = Criterion { default_samples: 2, filter: Some("compression/decompress".into()) };
+        assert!(c.selected("compression/decompress/auto_48k_text"));
+        assert!(!c.selected("compression/compress/lzss"));
+        assert!(!c.selected("security/md5/1"));
+        let all = Criterion { default_samples: 2, filter: None };
+        assert!(all.selected("security/md5/1"));
+    }
+
+    #[test]
+    fn filtered_out_benchmarks_never_run() {
+        let mut c = Criterion { default_samples: 2, filter: Some("keep".into()) };
+        let mut runs = 0u64;
+        let mut group = c.benchmark_group("g");
+        group.bench_function("keep_me", |b| b.iter(|| runs += 1));
+        group.bench_function("skip_me", |_| panic!("filtered benchmark ran"));
+        group.finish();
+        c.bench_function("skip_too", |_| panic!("filtered benchmark ran"));
+        assert!(runs > 0);
+    }
 
     #[test]
     fn spread_stats_on_known_samples() {

@@ -107,8 +107,41 @@ proptest! {
     }
 
     #[test]
-    fn decompress_never_panics_on_garbage(data in pvec(any::<u8>(), 0..256)) {
+    fn decompress_never_panics_on_garbage(
+        data in pvec(any::<u8>(), 0..256),
+        text in "[a-d <>/=\"\n]{1,800}",
+        alg in prop_oneof![
+            Just(Algorithm::Rle),
+            Just(Algorithm::Lzss),
+            Just(Algorithm::Huffman),
+            Just(Algorithm::LzssHuffman),
+            Just(Algorithm::Auto),
+        ],
+        edits in pvec((any::<usize>(), any::<u8>(), 0u8..5), 1..5),
+    ) {
         let _ = decompress(&data); // must not panic
+        // Random bytes rarely get past the magic; mutations of a valid
+        // container reach the length varints and the payload decoders.
+        let mut packed = compress(text.as_bytes(), alg);
+        for (pos, byte, op) in edits {
+            let pos = pos % packed.len();
+            match op {
+                0 => packed[pos] ^= 1 << (byte % 8),
+                1 => packed[pos] = byte,
+                2 => packed.truncate(pos.max(5)),
+                3 => packed.insert(pos, byte),
+                _ => {
+                    // Claim a huge original length (up to 2^40 bytes).
+                    let mut end = 5;
+                    if varint::read_u64(&packed, &mut end).is_ok() {
+                        let mut claim = Vec::new();
+                        varint::write_u64(&mut claim, (u64::from(byte) + 1) << 32);
+                        packed.splice(5..end, claim);
+                    }
+                }
+            }
+        }
+        let _ = decompress(&packed); // must not panic or abort
     }
 
     #[test]
