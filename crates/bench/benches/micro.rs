@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use pdagent_apps::ebank::{ebank_program, transactions_param};
 use pdagent_apps::Transaction;
+use pdagent_bench::soak::pad_text;
 use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_crypto::envelope::{open_envelope, seal_envelope};
 use pdagent_crypto::md5::md5;
@@ -45,20 +46,13 @@ fn padded_pi_doc(n_tx: u32, pad: Option<String>) -> String {
     pi.to_document_string()
 }
 
-/// SplitMix64 draws in `0..n`, so the pads need no dependency.
+/// SplitMix64 draws in `0..n`, so the word pad needs no dependency.
 fn splitmix_below(state: &mut u64, n: u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     (z ^ (z >> 31)) % n
-}
-
-/// `len` characters of the base64 alphabet: Auto picks Huffman.
-fn base64_pad(len: usize, seed: u64) -> String {
-    const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-    let mut state = seed;
-    (0..len).map(|_| ALPHABET[splitmix_below(&mut state, 64) as usize] as char).collect()
 }
 
 /// `len` bytes of words from a small vocabulary: Auto picks LZSS+Huffman.
@@ -115,7 +109,7 @@ fn bench_compression(c: &mut Criterion) {
     }
     // Auto on the 48 KiB PIs the soak and the repository benchmark ship;
     // the small sample PI above under-predicts their cost.
-    let pads = [("base64", base64_pad(48 * 1024, 1)), ("words", word_pad(48 * 1024, 1))];
+    let pads = [("base64", pad_text(48 * 1024, 1)), ("words", word_pad(48 * 1024, 1))];
     for (content, pad) in pads {
         let doc = padded_pi_doc(4, Some(pad));
         let bytes = doc.as_bytes();

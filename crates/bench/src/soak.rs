@@ -465,7 +465,7 @@ struct CellIds {
 /// the platform's PI compression cannot flatten it): xorshift64* over a
 /// base64 alphabet, seeded per device so every partitioning builds the same
 /// string.
-fn pad_text(len: usize, seed: u64) -> String {
+pub fn pad_text(len: usize, seed: u64) -> String {
     const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
     let mut state = seed | 1;
     let mut out = String::with_capacity(len);

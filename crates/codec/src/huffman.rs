@@ -217,8 +217,14 @@ fn read_header(r: &mut BitReader<'_>) -> Result<[u8; 256], HuffmanError> {
 }
 
 /// Bits resolved by one lookup in [`Decoder`]'s primary table. Codes up to
-/// this long (nearly all of them in practice) take one lookup in a table
-/// small enough to stay in L1; longer ones take the canonical slow path.
+/// this long (nearly all of them in practice) take one lookup in an 8 KiB
+/// table that stays in L1; longer ones take the canonical slow path.
+///
+/// A single `1 << MAX_CODE_LEN` table (64 KiB, built per stream) measured
+/// slower on a 2-vCPU Xeon VM: Auto decompress of the 48 KiB base64 PI took
+/// 330 µs against 234 µs here, of the word-text PI 210 µs against 180 µs
+/// (criterion medians of alternating runs), and `pi48k_dense` ran 235
+/// against 244 devices/s (medians of six alternating 30 s pairs).
 const FAST_BITS: u8 = 12;
 
 /// Table-driven canonical decoder.

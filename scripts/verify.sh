@@ -46,11 +46,11 @@ cargo build --release -p pdagent-bench --bin chaos
 SOAK_CHAOS=1 ./target/release/soak 64 1,2 > /dev/null
 
 # Event-scheduler smoke: the wheel-vs-heap replay must pop byte-identical
-# (time, seq) streams (the binary exits nonzero on divergence), and the
-# criterion event-loop benches must run clean.
+# (time, seq) streams (the binary exits nonzero on divergence), and every
+# criterion event-loop bench group must run clean (no name filter).
 cargo build --release -p pdagent-bench --bin event_queue
 ./target/release/event_queue 200000 5000 42 > /dev/null
-cargo bench -p pdagent-bench --bench event_queue -- arm_cancel_fire > /dev/null
+cargo bench -p pdagent-bench --bench event_queue > /dev/null
 
 # Codec micro-bench smoke: the compression group, including Auto compress and
 # decompress on the 48 KiB base64 and word-text PIs, must run clean. The
