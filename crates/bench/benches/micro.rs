@@ -118,11 +118,25 @@ fn bench_compression(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compress", &id), bytes, |b, bytes| {
             b.iter(|| compress(std::hint::black_box(bytes), Algorithm::Auto))
         });
+        // The LZSS match finder alone: literal-heavy on base64, match-rich
+        // on words.
+        let lzss_id = format!("lzss_48k_{content}");
+        group.bench_with_input(BenchmarkId::new("compress", &lzss_id), bytes, |b, bytes| {
+            b.iter(|| compress(std::hint::black_box(bytes), Algorithm::Lzss))
+        });
         let packed = compress(bytes, Algorithm::Auto);
         group.bench_with_input(BenchmarkId::new("decompress", &id), &packed, |b, packed| {
             b.iter(|| decompress(std::hint::black_box(packed)).unwrap())
         });
     }
+    // The pad-free 4-transaction PI, the size a small-PI fleet ships: the
+    // per-call fixed costs (table set-up) dominate here.
+    let doc = padded_pi_doc(4, None);
+    let bytes = doc.as_bytes();
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_with_input(BenchmarkId::new("compress", "auto_pad0"), bytes, |b, bytes| {
+        b.iter(|| compress(std::hint::black_box(bytes), Algorithm::Auto))
+    });
     group.finish();
 }
 

@@ -7,14 +7,15 @@
 //! [`Algorithm::Auto`] keeps the smallest payload, falling back to
 //! [`Algorithm::Store`] when compression does not pay — so `compress` never
 //! expands data by more than the 6–15 byte header. It sizes every candidate
-//! before encoding any of them: Store is the input length, RLE and Huffman
-//! sizes are exact from one scan and the byte histogram, and LZSS is encoded
-//! once, its stream serving as the LZSS payload, as the input whose histogram
-//! sizes LZSS+Huffman, and as that payload's inner layer. Only the winner is
-//! then encoded. The winner is the first strictly smallest payload in the
-//! order Store, Rle, Lzss, Huffman, LzssHuffman (payload length, not
-//! container length), so the output is byte-identical to encoding every
-//! candidate and comparing.
+//! before encoding any of them: Store is the input length, the RLE size is
+//! exact from one word-at-a-time scan, the Huffman sizes are exact from the
+//! codes fitted to the byte histograms (and those fits encode the winner),
+//! and LZSS is encoded once, its stream serving as the LZSS payload, as the
+//! input whose histogram sizes LZSS+Huffman, and as that payload's inner
+//! layer. Only the winner is then encoded. The winner is the first strictly
+//! smallest payload in the order Store, Rle, Lzss, Huffman, LzssHuffman
+//! (payload length, not container length), so the output is byte-identical
+//! to encoding every candidate and comparing.
 
 use std::borrow::Cow;
 
@@ -125,18 +126,28 @@ fn payload<'a>(data: &'a [u8], alg: Algorithm, lz: &'a [u8]) -> Cow<'a, [u8]> {
     }
 }
 
-/// Auto's winner, sized without encoding anything but `lz`.
-fn auto_pick(data: &[u8], lz: &[u8]) -> Algorithm {
+/// Auto's winner and its payload. Only `lz` is encoded before the pick: the
+/// Huffman candidates are sized from their fitted codes, which then encode
+/// the winner if it is one of them.
+fn auto<'a>(data: &'a [u8], lz: &'a [u8]) -> (Algorithm, Cow<'a, [u8]>) {
+    let huffman = huffman::Fit::new(data);
+    let lzss_huffman = huffman::Fit::new(lz);
     let sizes = [
         (Algorithm::Store, data.len()),
         (Algorithm::Rle, rle::encoded_len(data)),
         (Algorithm::Lzss, lz.len()),
-        (Algorithm::Huffman, huffman::encoded_len(data)),
-        (Algorithm::LzssHuffman, huffman::encoded_len(lz)),
+        (Algorithm::Huffman, huffman.encoded_len()),
+        (Algorithm::LzssHuffman, lzss_huffman.encoded_len()),
     ];
     // `min_by_key` keeps the first of equal minima: ties go to the earlier
     // algorithm, so only a strictly smaller payload displaces one.
-    sizes.into_iter().min_by_key(|&(_, len)| len).expect("five candidates").0
+    let winner = sizes.into_iter().min_by_key(|&(_, len)| len).expect("five candidates").0;
+    let payload = match winner {
+        Algorithm::Huffman => huffman.encode(data).into(),
+        Algorithm::LzssHuffman => lzss_huffman.encode(lz).into(),
+        other => payload(data, other, lz),
+    };
+    (winner, payload)
 }
 
 /// Compress `data` into a `PDAZ` container.
@@ -146,10 +157,7 @@ pub fn compress(data: &[u8], alg: Algorithm) -> Vec<u8> {
         _ => Vec::new(),
     };
     let (alg, payload) = match alg {
-        Algorithm::Auto => {
-            let winner = auto_pick(data, &lz);
-            (winner, payload(data, winner, &lz))
-        }
+        Algorithm::Auto => auto(data, &lz),
         other => {
             let enc = payload(data, other, &lz);
             // Never ship an expanded payload: fall back to Store.

@@ -31,68 +31,68 @@ impl std::fmt::Display for HuffmanError {
 
 impl std::error::Error for HuffmanError {}
 
-/// Compute code lengths for the byte frequencies using package-merge-free
-/// heap construction, then flatten depths. Zero-frequency symbols get length
-/// 0 (absent).
+/// Code lengths for the byte frequencies: Huffman's merge of the two
+/// lightest nodes, ties broken by node id (leaves are numbered in symbol
+/// order, merged nodes after them in creation order), then clamped to
+/// [`MAX_CODE_LEN`]. Zero-frequency symbols get length 0 (absent).
+///
+/// Merged nodes come out in nondecreasing weight and increasing id, so two
+/// sorted queues (the leaves, then the merged nodes) always hold the
+/// lightest node at one of their heads: the same merges as a priority queue
+/// over `(weight, id)`, with no allocation.
 fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
-    // Build the Huffman tree with a simple two-queue/heap method.
-    #[derive(Debug)]
-    struct NodeArena {
-        // (weight, left, right); leaves have left == right == usize::MAX and
-        // carry their symbol in `symbol`.
-        weight: Vec<u64>,
-        left: Vec<usize>,
-        right: Vec<usize>,
-        symbol: Vec<usize>,
-    }
-    let mut arena =
-        NodeArena { weight: vec![], left: vec![], right: vec![], symbol: vec![] };
-    let mut heap = std::collections::BinaryHeap::new();
+    let mut lengths = [0u8; 256];
+    // Node ids: leaves 0..leaves, merged nodes after them.
+    let mut weight = [0u64; 511];
+    let mut symbol = [0u8; 256];
+    let mut leaves = 0;
     for (sym, &f) in freqs.iter().enumerate() {
         if f > 0 {
-            let id = arena.weight.len();
-            arena.weight.push(f);
-            arena.left.push(usize::MAX);
-            arena.right.push(usize::MAX);
-            arena.symbol.push(sym);
-            heap.push(std::cmp::Reverse((f, id)));
+            (weight[leaves], symbol[leaves]) = (f, sym as u8);
+            leaves += 1;
         }
     }
-    let mut lengths = [0u8; 256];
-    match heap.len() {
+    match leaves {
         0 => return lengths,
         1 => {
             // A single distinct symbol still needs a 1-bit code.
-            let std::cmp::Reverse((_, id)) = heap.pop().unwrap();
-            lengths[arena.symbol[id]] = 1;
+            lengths[symbol[0] as usize] = 1;
             return lengths;
         }
         _ => {}
     }
-    while heap.len() > 1 {
-        let std::cmp::Reverse((w1, n1)) = heap.pop().unwrap();
-        let std::cmp::Reverse((w2, n2)) = heap.pop().unwrap();
-        let id = arena.weight.len();
-        arena.weight.push(w1 + w2);
-        arena.left.push(n1);
-        arena.right.push(n2);
-        arena.symbol.push(usize::MAX);
-        heap.push(std::cmp::Reverse((w1 + w2, id)));
+    let mut order: [u16; 256] = std::array::from_fn(|id| id as u16);
+    order[..leaves].sort_unstable_by_key(|&id| (weight[id as usize], id));
+    let mut parent = [0u16; 511];
+    let (mut next_leaf, mut next_merged, mut nodes) = (0, leaves, leaves);
+    for _ in 1..leaves {
+        let mut lightest = || {
+            // On equal weights the leaf goes first: its id is smaller.
+            let leaf_weight = |k: usize| weight[order[k] as usize];
+            if next_leaf < leaves
+                && (next_merged == nodes || leaf_weight(next_leaf) <= weight[next_merged])
+            {
+                next_leaf += 1;
+                order[next_leaf - 1] as usize
+            } else {
+                next_merged += 1;
+                next_merged - 1
+            }
+        };
+        let (a, b) = (lightest(), lightest());
+        weight[nodes] = weight[a] + weight[b];
+        (parent[a], parent[b]) = (nodes as u16, nodes as u16);
+        nodes += 1;
     }
-    let root = heap.pop().unwrap().0 .1;
-    // Walk the tree assigning depths.
-    let mut stack = vec![(root, 0u8)];
-    let mut max_depth = 0u8;
-    while let Some((node, depth)) = stack.pop() {
-        if arena.left[node] == usize::MAX {
-            lengths[arena.symbol[node]] = depth.max(1);
-            max_depth = max_depth.max(depth);
-        } else {
-            stack.push((arena.left[node], depth + 1));
-            stack.push((arena.right[node], depth + 1));
-        }
+    // A parent's id exceeds its children's: assign depths from the root down.
+    let mut depth = [0u8; 511];
+    for id in (0..nodes - 1).rev() {
+        depth[id] = depth[parent[id] as usize] + 1;
     }
-    if max_depth > MAX_CODE_LEN {
+    for leaf in 0..leaves {
+        lengths[symbol[leaf] as usize] = depth[leaf];
+    }
+    if depth[..leaves].iter().any(|&d| d > MAX_CODE_LEN) {
         // Length-limit by clamping and re-normalizing with the Kraft sum.
         limit_lengths(&mut lengths);
     }
@@ -171,40 +171,59 @@ fn histogram(data: &[u8]) -> [u64; 256] {
     freqs
 }
 
-/// Header plus payload bits of [`encode`]'s output.
-fn encoded_bits(freqs: &[u64; 256], lengths: &[u8; 256]) -> u64 {
-    HEADER_BITS + freqs.iter().zip(lengths).map(|(&f, &l)| f * u64::from(l)).sum::<u64>()
+/// The code [`encode`] fits to one input: its byte histogram and the code
+/// lengths built from it. Sizing a candidate and then encoding it share one
+/// fit, so the histogram and the tree are built once.
+pub(crate) struct Fit {
+    freqs: [u64; 256],
+    lengths: [u8; 256],
 }
 
-/// Exact length of [`encode`]`(data)` without encoding it: the header plus
-/// `Σ freq·len` payload bits, rounded up to whole bytes (0 for empty input).
-pub(crate) fn encoded_len(data: &[u8]) -> usize {
-    if data.is_empty() {
-        return 0;
+impl Fit {
+    /// Fit a code to `data`.
+    pub(crate) fn new(data: &[u8]) -> Fit {
+        let freqs = histogram(data);
+        Fit { lengths: code_lengths(&freqs), freqs }
     }
-    let freqs = histogram(data);
-    encoded_bits(&freqs, &code_lengths(&freqs)).div_ceil(8) as usize
+
+    /// Exact length of [`encode`]'s output for the fitted input, without
+    /// encoding it: the header plus `Σ freq·len` payload bits, rounded up to
+    /// whole bytes (0 for empty input).
+    pub(crate) fn encoded_len(&self) -> usize {
+        if self.freqs.iter().all(|&f| f == 0) {
+            return 0;
+        }
+        self.bits().div_ceil(8) as usize
+    }
+
+    /// Header plus payload bits of the encoding.
+    fn bits(&self) -> u64 {
+        HEADER_BITS
+            + self.freqs.iter().zip(&self.lengths).map(|(&f, &l)| f * u64::from(l)).sum::<u64>()
+    }
+
+    /// [`encode`]`(data)`, where `data` is the input this code was fitted to.
+    pub(crate) fn encode(&self, data: &[u8]) -> Vec<u8> {
+        if data.is_empty() {
+            return Vec::new();
+        }
+        let codes = canonical_codes(&self.lengths).expect("own table is valid");
+        let mut w = BitWriter::with_capacity(self.bits().div_ceil(8) as usize);
+        for &l in self.lengths.iter() {
+            w.write_bits(l as u32, 4);
+        }
+        for &b in data {
+            let (code, len) = codes[b as usize];
+            w.write_bits(code, len);
+        }
+        w.finish()
+    }
 }
 
 /// Encode `data`. Output = header (256 x 4-bit code lengths, 128 bytes) +
 /// bit payload. Empty input yields an empty vector.
 pub fn encode(data: &[u8]) -> Vec<u8> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let freqs = histogram(data);
-    let lengths = code_lengths(&freqs);
-    let codes = canonical_codes(&lengths).expect("own table is valid");
-
-    let mut w = BitWriter::with_capacity(encoded_bits(&freqs, &lengths).div_ceil(8) as usize);
-    for &l in lengths.iter() {
-        w.write_bits(l as u32, 4);
-    }
-    for &b in data {
-        let (code, len) = codes[b as usize];
-        w.write_bits(code, len);
-    }
-    w.finish()
+    Fit::new(data).encode(data)
 }
 
 /// Read the 256 x 4-bit code-length header.
@@ -475,6 +494,89 @@ mod tests {
         canonical_codes(&lengths).unwrap();
     }
 
+    /// The priority-queue build [`code_lengths`] replaced, kept as its
+    /// oracle: the same merges, popped from a binary heap over
+    /// `(weight, id)`.
+    fn code_lengths_heap(freqs: &[u64; 256]) -> [u8; 256] {
+        // Build the Huffman tree with a simple two-queue/heap method.
+        #[derive(Debug)]
+        struct NodeArena {
+            // (weight, left, right); leaves have left == right == usize::MAX and
+            // carry their symbol in `symbol`.
+            weight: Vec<u64>,
+            left: Vec<usize>,
+            right: Vec<usize>,
+            symbol: Vec<usize>,
+        }
+        let mut arena =
+            NodeArena { weight: vec![], left: vec![], right: vec![], symbol: vec![] };
+        let mut heap = std::collections::BinaryHeap::new();
+        for (sym, &f) in freqs.iter().enumerate() {
+            if f > 0 {
+                let id = arena.weight.len();
+                arena.weight.push(f);
+                arena.left.push(usize::MAX);
+                arena.right.push(usize::MAX);
+                arena.symbol.push(sym);
+                heap.push(std::cmp::Reverse((f, id)));
+            }
+        }
+        let mut lengths = [0u8; 256];
+        match heap.len() {
+            0 => return lengths,
+            1 => {
+                // A single distinct symbol still needs a 1-bit code.
+                let std::cmp::Reverse((_, id)) = heap.pop().unwrap();
+                lengths[arena.symbol[id]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+        while heap.len() > 1 {
+            let std::cmp::Reverse((w1, n1)) = heap.pop().unwrap();
+            let std::cmp::Reverse((w2, n2)) = heap.pop().unwrap();
+            let id = arena.weight.len();
+            arena.weight.push(w1 + w2);
+            arena.left.push(n1);
+            arena.right.push(n2);
+            arena.symbol.push(usize::MAX);
+            heap.push(std::cmp::Reverse((w1 + w2, id)));
+        }
+        let root = heap.pop().unwrap().0 .1;
+        // Walk the tree assigning depths.
+        let mut stack = vec![(root, 0u8)];
+        let mut max_depth = 0u8;
+        while let Some((node, depth)) = stack.pop() {
+            if arena.left[node] == usize::MAX {
+                lengths[arena.symbol[node]] = depth.max(1);
+                max_depth = max_depth.max(depth);
+            } else {
+                stack.push((arena.left[node], depth + 1));
+                stack.push((arena.right[node], depth + 1));
+            }
+        }
+        if max_depth > MAX_CODE_LEN {
+            // Length-limit by clamping and re-normalizing with the Kraft sum.
+            limit_lengths(&mut lengths);
+        }
+        lengths
+    }
+
+    /// Histograms with many tied weights, wide weight ranges and
+    /// exponentially skewed ones (which the length limiter has to repair).
+    fn histograms() -> impl Strategy<Value = [u64; 256]> {
+        pvec((0u8..3, any::<u64>()), 256..257).prop_map(|v| {
+            std::array::from_fn(|sym| {
+                let (shape, x) = v[sym];
+                match shape {
+                    0 => x % 4,
+                    1 => x % 1_000_000,
+                    _ => (x % 2) << (x >> 59),
+                }
+            })
+        })
+    }
+
     /// Bytes with a geometric symbol distribution (deep trees) mixed with
     /// uniform bytes (wide trees).
     fn skewed_bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -604,6 +706,15 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn code_lengths_match_the_heap_build(freqs in histograms()) {
+            prop_assert_eq!(code_lengths(&freqs), code_lengths_heap(&freqs));
+        }
+    }
+
     #[test]
     fn under_full_table_misses_follow_the_bit_rule() {
         // One 1-bit code `0`: a `1` bit starts no code. With 16 or more bits
@@ -641,9 +752,9 @@ mod tests {
     #[test]
     fn encoded_len_is_exact() {
         for data in [&b""[..], b"a", b"ab", b"hello hello hello", &[7u8; 5000]] {
-            assert_eq!(encoded_len(data), encode(data).len());
+            assert_eq!(Fit::new(data).encoded_len(), encode(data).len());
         }
         let text = b"it is a truth universally acknowledged".repeat(40);
-        assert_eq!(encoded_len(&text), encode(&text).len());
+        assert_eq!(Fit::new(&text).encoded_len(), encode(&text).len());
     }
 }

@@ -29,8 +29,8 @@ enum Packet {
     Run(u8, usize),
 }
 
-/// Walk `data` the way [`encode`] packs it; [`encoded_len`] takes the same
-/// walk without writing anything.
+/// Walk `data` the way [`encode`] packs it. Every run packet starts where
+/// the walk meets three equal bytes, which [`encoded_len`] relies on.
 fn packets(data: &[u8], mut emit: impl FnMut(Packet)) {
     let mut i = 0;
     let mut literal_start = 0;
@@ -66,15 +66,41 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 }
 
 /// Exact length of [`encode`]`(data)`, from one scan and no allocation.
+///
+/// The walk in [`packets`] only ever stands at the first byte of a group of
+/// equal bytes (or just past a 129-byte run), so the next run packet starts
+/// at the first position from there that opens three equal bytes. Those
+/// are found eight positions at a time; everything before one is literal.
 pub(crate) fn encoded_len(data: &[u8]) -> usize {
-    let mut len = 0;
-    packets(data, |packet| {
-        len += match packet {
-            Packet::Literals(start, end) => (end - start) + (end - start).div_ceil(128),
-            Packet::Run(..) => 2,
+    let literals = |n: usize| n + n.div_ceil(128);
+    let (mut len, mut literal_start, mut i) = (0, 0, 0);
+    while let Some(run_start) = next_triple(data, i) {
+        let byte = data[run_start];
+        let run_len = data[run_start..].iter().take(129).take_while(|&&b| b == byte).count();
+        len += literals(run_start - literal_start) + 2;
+        i = run_start + run_len;
+        literal_start = i;
+    }
+    len + literals(data.len() - literal_start)
+}
+
+/// The first `j >= from` with `data[j] == data[j + 1] == data[j + 2]`.
+fn next_triple(data: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let word = |p: usize| u64::from_le_bytes(*data[p..].first_chunk().expect("in bounds"));
+    let mut j = from;
+    // Eight candidates per step: byte k of `diff` is zero iff `j + k` opens
+    // a triple, and the lowest flagged byte of the zero-byte test is exact.
+    while j + 10 <= data.len() {
+        let (a, b, c) = (word(j), word(j + 1), word(j + 2));
+        let diff = (a ^ b) | (b ^ c);
+        let zero = diff.wrapping_sub(ONES) & !diff & (ONES << 7);
+        if zero != 0 {
+            return Some(j + (zero.trailing_zeros() / 8) as usize);
         }
-    });
-    len
+        j += 8;
+    }
+    (j..data.len().saturating_sub(2)).find(|&k| data[k] == data[k + 1] && data[k] == data[k + 2])
 }
 
 /// Decode an RLE stream produced by [`encode`].
@@ -166,6 +192,33 @@ mod tests {
     fn truncated_literal_errors() {
         // Control says 4 literals but only 2 present.
         assert!(decode(&[3, b'a', b'b']).is_err());
+    }
+
+    #[test]
+    fn encoded_len_is_exact_on_run_boundaries() {
+        // Runs of every length around the packet limits, at every alignment
+        // of the eight-byte scan, between literals that also touch them.
+        for run in [1usize, 2, 3, 4, 128, 129, 130, 131, 132, 258, 259, 260] {
+            for offset in 0..10 {
+                let mut data: Vec<u8> = (0..offset as u8).collect();
+                data.extend(std::iter::repeat_n(b'r', run));
+                data.extend_from_slice(b"rxyyz");
+                assert_eq!(encoded_len(&data), encode(&data).len(), "run {run} offset {offset}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encoded_len_matches_encode(
+            chunks in proptest::collection::vec((0u8..4, 1usize..140), 0..40),
+        ) {
+            let data: Vec<u8> =
+                chunks.iter().flat_map(|&(byte, len)| std::iter::repeat_n(byte, len)).collect();
+            proptest::prop_assert_eq!(encoded_len(&data), encode(&data).len());
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [`Algorithm`], the container length and an FNV-1a 64 of the whole
 //! container. Any change to the encoders (or to Auto's winner) shows up here.
 //!
-//! The fixture is produced by the ignored `print_golden` test:
+//! New inputs go at the end of [`inputs`], so the earlier ones keep their
+//! random draws, and their entries are generated on the commit before the
+//! code they pin changes. The fixture is produced by the ignored
+//! `print_golden` test:
 //!
 //! ```sh
 //! cargo test -p pdagent-codec --release --test golden -- --ignored --nocapture print_golden \
@@ -107,6 +110,50 @@ fn fibonacci_frequencies(symbols: usize, rng: &mut Rng) -> Vec<u8> {
     out
 }
 
+/// `len` bytes drawn from the eight bytes `low | 0x20·k`. Of such a trigram
+/// the LZSS match finder's 13-bit chain hash keeps only bits 5–7 of the
+/// second and third bytes, so all 512 trigrams share 64 buckets: a 4 KiB
+/// window puts about 64 entries in each, as many as the chain walk visits,
+/// and its budget binds.
+fn colliding_bytes(len: usize, low: u8, rng: &mut Rng) -> Vec<u8> {
+    (0..len).map(|_| low | (rng.below(8) as u8) << 5).collect()
+}
+
+/// Words spelled over [`colliding_bytes`]' alphabet: long matches whose
+/// candidates hide among hash collisions.
+fn colliding_words(len: usize, rng: &mut Rng) -> Vec<u8> {
+    let words: Vec<Vec<u8>> =
+        (0..48).map(|_| colliding_bytes(3 + rng.below(6) as usize, 0x0a, rng)).collect();
+    let mut out = Vec::with_capacity(len + 16);
+    while out.len() < len {
+        out.push(0x0a);
+        out.extend_from_slice(&words[rng.below(words.len() as u64) as usize]);
+    }
+    out.truncate(len);
+    out
+}
+
+/// An 18-byte needle, `gap` trigrams that collide with its first trigram
+/// under the chain hash (the first byte differs only in bits 3–7, which the
+/// hash drops), then the needle again, for gaps around the 64-entry chain
+/// budget: past the budget the second needle's first byte goes out as a
+/// literal.
+fn budget_edge(rng: &mut Rng) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (section, gap) in [60usize, 62, 63, 64, 65, 66, 68, 100].into_iter().enumerate() {
+        let (a, b, c) = (b'A', b'B', b'a' + section as u8);
+        let mut needle = vec![a, b, c];
+        needle.extend_from_slice(format!("~section-{section}~~~~~").as_bytes());
+        needle.truncate(18);
+        out.extend_from_slice(&needle);
+        for _ in 0..gap {
+            out.extend_from_slice(&[a ^ (1 + rng.below(31) as u8) << 3, b, c, b' ']);
+        }
+        out.extend_from_slice(&needle);
+    }
+    out
+}
+
 fn inputs() -> Vec<(String, Vec<u8>)> {
     let mut rng = Rng(0x5eed_0001);
     let mut v: Vec<(String, Vec<u8>)> = vec![
@@ -132,6 +179,10 @@ fn inputs() -> Vec<(String, Vec<u8>)> {
     }
     v.push(("runs-mixed".into(), runs));
     v.push(("fibonacci-24".into(), fibonacci_frequencies(24, &mut rng)));
+    v.push(("collide-8k".into(), colliding_bytes(8 * 1024, 0x00, &mut rng)));
+    v.push(("collide-48k".into(), colliding_bytes(48 * 1024, 0x0a, &mut rng)));
+    v.push(("collide-words-48k".into(), colliding_words(48 * 1024, &mut rng)));
+    v.push(("budget-edge".into(), budget_edge(&mut rng)));
     v
 }
 

@@ -278,6 +278,14 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_rejected_not_fatal() {
+        // The dispatch path parses whatever document a device sealed.
+        let doc = format!("<pi>{}{}</pi>", "<a>".repeat(100_000), "</a>".repeat(100_000));
+        let err = PackedInformation::from_document_str(&doc).unwrap_err();
+        assert!(err.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
     fn pi_accepts_compact_program_format_too() {
         // A PI whose <ma-code> uses the dense pdac-1 encoding (e.g. built by
         // third-party tooling) must parse identically — the gateway promises

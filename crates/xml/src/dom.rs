@@ -8,6 +8,13 @@ use crate::error::{XmlError, XmlResult};
 use crate::pull::{PullParser, XmlEvent};
 use crate::writer::XmlWriter;
 
+/// The deepest element nesting [`Element::parse_str`] and
+/// [`Element::parse_bytes`] accept (the root is depth 1). Building the tree
+/// recurses once per level, so deeper input is rejected with
+/// [`XmlError::TooDeep`] rather than exhausting the stack. Packed
+/// Information documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// A node in the DOM tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
@@ -172,7 +179,7 @@ impl Element {
                     root.attributes =
                         attributes.into_iter().map(|a| (a.name, a.value)).collect();
                     if !self_closing {
-                        Self::fill(&mut root, parser)?;
+                        Self::fill(&mut root, parser, 1)?;
                     }
                     // Drain the epilog so trailing garbage is diagnosed.
                     loop {
@@ -194,15 +201,21 @@ impl Element {
         }
     }
 
-    fn fill(parent: &mut Element, parser: &mut PullParser<'_>) -> XmlResult<()> {
+    /// Read `parent`'s content up to its end tag; `parent` sits at nesting
+    /// `depth` (the root is 1). Each level recurses once, so the depth is
+    /// capped at [`MAX_DEPTH`] to keep hostile input off the stack's edge.
+    fn fill(parent: &mut Element, parser: &mut PullParser<'_>, depth: usize) -> XmlResult<()> {
         loop {
             match parser.next_event()? {
                 XmlEvent::StartElement { name, attributes, self_closing } => {
+                    if depth == MAX_DEPTH {
+                        return Err(XmlError::TooDeep { offset: parser.offset(), limit: MAX_DEPTH });
+                    }
                     let mut el = Element::new(name);
                     el.attributes =
                         attributes.into_iter().map(|a| (a.name, a.value)).collect();
                     if !self_closing {
-                        Self::fill(&mut el, parser)?;
+                        Self::fill(&mut el, parser, depth + 1)?;
                     }
                     parent.children.push(Node::Element(el));
                 }
@@ -403,5 +416,31 @@ mod tests {
         }
         let doc = Element::parse_str(&s).unwrap();
         assert_eq!(doc.element_count(), depth);
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}leaf{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        assert_eq!(Element::parse_str(&nested(MAX_DEPTH)).unwrap().element_count(), MAX_DEPTH);
+        let offset = "<a>".len() * (MAX_DEPTH + 1);
+        assert_eq!(
+            Element::parse_str(&nested(MAX_DEPTH + 1)),
+            Err(XmlError::TooDeep { offset, limit: MAX_DEPTH })
+        );
+        // A self-closing element one level too deep is rejected as well.
+        let doc = format!("{}<b/>{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        assert!(matches!(Element::parse_str(&doc), Err(XmlError::TooDeep { .. })));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100k nested elements (~700 KB) used to recurse once per level and
+        // abort the process.
+        let doc = nested(100_000);
+        assert!(matches!(Element::parse_str(&doc), Err(XmlError::TooDeep { .. })));
+        assert!(matches!(Element::parse_bytes(doc.as_bytes()), Err(XmlError::TooDeep { .. })));
     }
 }

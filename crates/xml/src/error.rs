@@ -58,6 +58,13 @@ pub enum XmlError {
         /// Byte offset of the first invalid byte.
         offset: usize,
     },
+    /// Elements nest deeper than the DOM accepts.
+    TooDeep {
+        /// Byte offset just past the start tag that went too deep.
+        offset: usize,
+        /// The deepest nesting accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -83,6 +90,9 @@ impl fmt::Display for XmlError {
             XmlError::InvalidName { name } => write!(f, "invalid XML name: {name:?}"),
             XmlError::InvalidUtf8 { offset } => {
                 write!(f, "input is not valid UTF-8 at byte {offset}")
+            }
+            XmlError::TooDeep { offset, limit } => {
+                write!(f, "elements nest deeper than {limit} at byte {offset}")
             }
         }
     }

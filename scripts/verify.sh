@@ -9,6 +9,12 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
+# Benchmark correctness gate: perfbench's own tests run whole fleets with
+# 48 KiB PIs through its receipt, round-trip and per-journey digest checks,
+# so a codec or pipeline change that alters a journey fails here (~1 s of
+# runs once built).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Federation ablation smoke: with the fleet plane off, the soak must still
 # pass every shape check (results are asserted byte-identical to the
 # federated run by the crate's unit tests; here we guard the knob itself).
