@@ -1,19 +1,18 @@
-//! Criterion micro-benchmarks for the event scheduler: arm/cancel/fire
-//! mixes and far-vs-near timer distributions, each measured on the timer
-//! wheel and on the reference binary heap. Op streams are pre-drawn
+//! Criterion micro-benchmarks for the event queue: arm/cancel/fire mixes
+//! and far-vs-near timer distributions, each measured on the timer wheel and
+//! on the binary-heap oracle. Op streams are pre-drawn
 //! ([`ChurnPlan`]) so iterations time queue and slab work only. The
 //! soak-mix numbers here are the per-iteration view of what the
 //! `event_queue` binary reports as `BENCH_event_queue.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use pdagent_bench::event_queue::{churn, ChurnPlan, Mix};
-use pdagent_net::queue::Scheduler;
+use pdagent_bench::event_queue::{churn_heap, churn_wheel, Churn, ChurnPlan, Mix};
 
 const EVENTS: u64 = 10_000;
 
-fn schedulers() -> [(&'static str, Scheduler); 2] {
-    [("wheel", Scheduler::Wheel), ("heap", Scheduler::Heap)]
+fn queues() -> [(&'static str, Churn); 2] {
+    [("wheel", churn_wheel), ("heap", churn_heap)]
 }
 
 fn bench_arm_fire(c: &mut Criterion) {
@@ -23,9 +22,9 @@ fn bench_arm_fire(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EVENTS));
     for depth in [1_000usize, 10_000] {
         let plan = ChurnPlan::new(EVENTS, depth, 0.0, Mix::Soak, 42);
-        for (name, scheduler) in schedulers() {
+        for (name, churn) in queues() {
             group.bench_with_input(BenchmarkId::new(name, depth), &plan, |b, plan| {
-                b.iter(|| std::hint::black_box(churn(scheduler, plan)))
+                b.iter(|| std::hint::black_box(churn(plan)))
             });
         }
     }
@@ -38,9 +37,9 @@ fn bench_arm_cancel_fire(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/arm_cancel_fire");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.3, Mix::Soak, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();
@@ -52,9 +51,9 @@ fn bench_near_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/near_timers");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.0, Mix::Near, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();
@@ -67,9 +66,9 @@ fn bench_far_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/far_timers");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.0, Mix::Far, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();

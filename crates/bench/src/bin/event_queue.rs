@@ -1,5 +1,5 @@
-//! Event-scheduler head-to-head: replay the soak's event mix on the timer
-//! wheel and on the reference binary heap, verify the popped `(time, seq)`
+//! Event-queue head-to-head: replay the soak's event mix on the timer
+//! wheel and on the binary-heap oracle, verify the popped `(time, seq)`
 //! streams are identical, and write `BENCH_event_queue.json` with both
 //! throughputs and the speedup.
 //!

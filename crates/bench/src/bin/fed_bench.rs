@@ -42,6 +42,9 @@ use pdagent_net::time::SimDuration;
 const COUNTERS: usize = 96;
 const GAUGES: usize = 48;
 const MUTATIONS_PER_SERVE: usize = 6;
+/// Resync cadence of the delta arm: every eighth round (round 0 first) is a
+/// full snapshot, the rest are deltas. The full arm resyncs every round.
+const DELTA_RESYNC_EVERY: u32 = 8;
 
 /// A synthetic cell monitor: serves a ~150-series snapshot through a
 /// [`DeltaState`], mutating a handful of series per scrape served. The body
@@ -128,7 +131,7 @@ struct RunOutcome {
 fn run_fleet(
     cells: usize,
     seed: u64,
-    delta: bool,
+    resync_every: u32,
     rounds: u32,
     max_inflight: usize,
     batch: usize,
@@ -150,8 +153,7 @@ fn run_fleet(
         batch_spacing,
         max_inflight,
         stale_after: SimDuration::from_secs(3_600),
-        delta,
-        resync_every: 8,
+        resync_every,
         rules: default_federation_rules(),
         pager: None,
     };
@@ -191,8 +193,8 @@ fn main() {
     let cadence = SimDuration::from_secs(5);
     let spacing = SimDuration::from_millis(200);
     let wall = Instant::now();
-    let full = run_fleet(cells, seed, false, rounds, 32, 64, cadence, spacing);
-    let delta = run_fleet(cells, seed, true, rounds, 32, 64, cadence, spacing);
+    let full = run_fleet(cells, seed, 1, rounds, 32, 64, cadence, spacing);
+    let delta = run_fleet(cells, seed, DELTA_RESYNC_EVERY, rounds, 32, 64, cadence, spacing);
 
     let fr = &full.report;
     let dr = &delta.report;
@@ -231,7 +233,7 @@ fn main() {
         let out = run_fleet(
             cells,
             seed,
-            true,
+            DELTA_RESYNC_EVERY,
             4,
             max_inflight,
             batch,

@@ -1,14 +1,14 @@
 //! The thousand-device PI-upload soak on the sharded simulation engine.
 //!
-//! Runs the fleet soak (`pdagent_bench::soak`) three ways and writes
+//! Runs the fleet soak (`pdagent_bench::soak`) two ways and writes
 //! `BENCH_soak.json`:
 //!
-//! 1. **Unbatched** single-shard reference (per-fragment link events) — the
-//!    event-count baseline the batched path is measured against.
-//! 2. **Batched** single-shard run — the canonical results; also run with
-//!    observability on for the per-stage percentiles.
-//! 3. A **scaling curve** over shard counts, asserting every partitioning's
-//!    results section is byte-identical to the single-shard run.
+//! 1. The canonical single-shard run, observability on — the results and
+//!    the per-stage percentiles.
+//! 2. A **scaling curve** over shard counts (observability off), asserting
+//!    every partitioning's results section is byte-identical to the
+//!    single-shard run. Its points also give batched delivery's event cut:
+//!    one event per fragment would have cost `events + frames_coalesced`.
 //!
 //! `cargo run -p pdagent-bench --release --bin soak [devices] [shard_list] [seed]`
 //! — defaults: 1000 devices, shards `1,2,4,8`, seed 42. The CI smoke runs
@@ -46,13 +46,18 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 fn main() {
     let mut args = std::env::args().skip(1);
     let devices: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let shard_list: Vec<usize> = args
+    let mut shard_list: Vec<usize> = args
         .next()
         .unwrap_or_else(|| "1,2,4,8".into())
         .split(',')
         .filter_map(|s| s.trim().parse().ok())
         .filter(|&n| n > 0)
         .collect();
+    if shard_list.is_empty() {
+        // The curve also yields the unbatched event count, so it always has
+        // at least the single-shard point.
+        shard_list.push(1);
+    }
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 
     let cells = devices.div_ceil(DEVICES_PER_CELL).max(1);
@@ -73,15 +78,13 @@ fn main() {
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&ms| ms > 0);
-    // Congestion-sweep knobs: fan-in window / batch size, plus the delta
-    // ablation (`SOAK_FED_DELTA=0` forces full snapshots every round).
+    // Congestion-sweep knobs: fan-in window / batch size.
     if let Some(n) = std::env::var("SOAK_FED_INFLIGHT").ok().and_then(|v| v.parse().ok()) {
         spec.fed_max_inflight = n;
     }
     if let Some(n) = std::env::var("SOAK_FED_BATCH").ok().and_then(|v| v.parse().ok()) {
         spec.fed_batch = n;
     }
-    spec.fed_delta = std::env::var("SOAK_FED_DELTA").map_or(true, |v| v != "0");
     if let Some(ms) = cadence_ms {
         spec.fed_cadence = SimDuration::from_millis(ms);
         // Hold the federated horizon fixed (~60 s of scrape coverage) so the
@@ -97,13 +100,7 @@ fn main() {
         parallel::thread_count()
     );
 
-    // 1. Per-fragment reference: same results, every wire fragment is a
-    //    heap event. This is what the batched path saves.
-    let mut unbatched_spec = spec.clone();
-    unbatched_spec.batch_links = false;
-    let (unbatched, unbatched_wall) = timed(&unbatched_spec);
-
-    // 2. Canonical batched single-shard run, observability on. Tail sampling
+    // 1. Canonical single-shard run, observability on. Tail sampling
     //    rides this run by default; `SOAK_SAMPLE=0` is the ablation knob —
     //    with no scrape plane attached the sampler may not change a single
     //    byte of the results or obs digest, only the reservoir accounting.
@@ -117,19 +114,12 @@ fn main() {
         observed_spec.sampler_cfg.head_every = n;
     }
     let (base, base_wall) = timed(&observed_spec);
-    assert_eq!(
-        base.results, unbatched.results,
-        "batched delivery changed the soak results"
-    );
-    let reduction = unbatched.events as f64 / base.events as f64;
-    println!(
-        "link batching: {} events vs {} per-fragment ({reduction:.1}x fewer), results identical",
-        base.events, unbatched.events
-    );
 
-    // 3. Scaling curve over shard counts; every point must reproduce the
-    //    single-shard results byte-for-byte.
+    // 2. Scaling curve over shard counts; every point must reproduce the
+    //    single-shard results byte-for-byte, and count the same events and
+    //    coalesced frames.
     let mut curve = Vec::new();
+    let mut counts: Option<(u64, u64)> = None;
     println!("\n{:>7} {:>10} {:>12} {:>12} {:>10} {:>8}", "shards", "wall_s", "devices/s", "events/s", "peak_q", "epochs");
     for &shards in &shard_list {
         let mut s = spec.clone();
@@ -138,6 +128,12 @@ fn main() {
         assert_eq!(
             base.results, out.results,
             "{shards}-shard soak diverged from single-shard"
+        );
+        let point = (out.events, out.frames_coalesced);
+        assert_eq!(
+            *counts.get_or_insert(point),
+            point,
+            "{shards}-shard soak counted different events or coalesced frames"
         );
         println!(
             "{:>7} {:>10.2} {:>12.1} {:>12.0} {:>10} {:>8}",
@@ -158,6 +154,18 @@ fn main() {
             ("byte_identical", true.into()),
         ]));
     }
+
+    // Batched delivery's event cut. Taken from the observability-off curve,
+    // not the observed run: with a collector attached, scrape bodies carry
+    // histogram families, so the observed run sends longer bursts. Each
+    // coalesced frame is one event a per-fragment scheduler would have run.
+    let (events, frames_coalesced) = counts.expect("the scaling curve has a point");
+    let unbatched = events + frames_coalesced;
+    let reduction = unbatched as f64 / base.events as f64;
+    println!(
+        "\nlink batching: {} events vs {unbatched} with one event per fragment ({reduction:.1}x fewer)",
+        base.events
+    );
 
     let fired: u64 = base.slo.iter().map(|r| r.fired).sum();
     let resolved: u64 = base.slo.iter().map(|r| r.resolved).sum();
@@ -336,10 +344,9 @@ fn main() {
         ("completion_p95_us", pct(&completion, 95.0).into()),
         ("sim_secs", base.sim_secs.into()),
         ("events_per_device", base.events_per_device.into()),
-        ("events_unbatched", unbatched.events.into()),
+        ("events_unbatched", unbatched.into()),
         ("events_batched", base.events.into()),
         ("event_reduction", reduction.into()),
-        ("unbatched_wall_secs", unbatched_wall.into()),
         ("peak_queue", base.peak_queue.into()),
         ("byte_identical", true.into()),
         ("scrapes_ok", base.scrapes_ok.into()),

@@ -502,6 +502,9 @@ mod tests {
     use pdagent_net::paging::PagingReport;
     use pdagent_net::time::SimTime;
 
+    /// Plants one synthetic violation into a healthy outcome.
+    type Mutator = Box<dyn Fn(&mut SoakOutcome)>;
+
     /// One tiny chaos-free soak, reused (via clone) as the base evidence for
     /// every synthetic-violation unit test below.
     fn tiny_outcome() -> SoakOutcome {
@@ -535,7 +538,7 @@ mod tests {
 
         // (mutator, expected violated invariant) — one synthetic violation
         // per registered invariant.
-        let cases: Vec<(Box<dyn Fn(&mut SoakOutcome)>, &str)> = vec![
+        let cases: Vec<(Mutator, &str)> = vec![
             (Box::new(|o| o.lost_agents = 1), "no-lost-agents"),
             (Box::new(|o| o.duplicate_executions = 2), "no-duplicate-execution"),
             (Box::new(|o| o.replay_overflow = 3), "replay-cache-safety"),

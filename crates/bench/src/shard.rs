@@ -103,6 +103,12 @@ impl ShardedSim {
         self.shards.iter().map(Simulator::events_processed).sum()
     }
 
+    /// Non-final fragment-burst frames across all shards (see
+    /// [`Simulator::frames_coalesced`]).
+    pub fn frames_coalesced(&self) -> u64 {
+        self.shards.iter().map(Simulator::frames_coalesced).sum()
+    }
+
     /// Largest event-queue high-water mark over the shards.
     pub fn peak_queue_depth(&self) -> usize {
         self.shards.iter().map(Simulator::peak_queue_depth).max().unwrap_or(0)

@@ -35,7 +35,6 @@ use pdagent_net::message::Message;
 use pdagent_net::metrics::KEY_QUEUE_DEPTH;
 use pdagent_net::obs::{ObsEvent, ObsSummary, SampleClass, SamplerConfig, SamplerStats};
 use pdagent_net::paging::{PageReceiver, PagingGateway, PagingReport, Route, RoutePolicy, Severity};
-use pdagent_net::queue::Scheduler;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::slo::{MonitorSpec, SloMonitor, SloReport, SloRule};
 use pdagent_net::telemetry::{render_traces_body, FlightRecorder};
@@ -168,10 +167,9 @@ pub struct SoakSpec {
     pub heartbeats: u32,
     /// Simulator shards to partition the cells over (clamped to `cells`).
     pub shards: usize,
-    /// Link MTU: messages larger than this fragment into MTU-byte frames.
+    /// Link MTU: messages larger than this fragment into MTU-byte frames
+    /// (one event per burst; see [`SoakOutcome::frames_coalesced`]).
     pub mtu: Option<usize>,
-    /// Batched (one event per burst) vs per-fragment event scheduling.
-    pub batch_links: bool,
     /// Attach the observability collector to every shard.
     pub observe: bool,
     /// Run one [`SloMonitor`] per cell, scraping the cell gateway's
@@ -197,9 +195,6 @@ pub struct SoakSpec {
     pub fed_cadence: SimDuration,
     /// Federation scrape rounds (bounded so the sim drains).
     pub fed_rounds: u32,
-    /// Federation delta scrapes (`?since=<epoch>`); `false` forces a full
-    /// snapshot every round.
-    pub fed_delta: bool,
     /// Federation bounded in-flight scrape window.
     pub fed_max_inflight: usize,
     /// Federation targets dispatched per fan-in batch tick.
@@ -208,7 +203,9 @@ pub struct SoakSpec {
     pub fed_batch_spacing: SimDuration,
     /// Cell snapshots older than this are dropped from fleet rollups.
     pub fed_stale_after: SimDuration,
-    /// Every Nth federation round is a full-snapshot resync.
+    /// Every Nth federation round is a full-snapshot resync; the rounds in
+    /// between are delta scrapes (`?since=<epoch>`). `1` forces a full
+    /// snapshot every round.
     pub fed_resync_every: u32,
     /// Primary on-call pickup time (`None` never acks, forcing escalation —
     /// the paging-drill configuration).
@@ -233,10 +230,6 @@ pub struct SoakSpec {
     /// with a `page.deliver` p99 rule — paging the pager about its own
     /// degraded delivery path, exemplar attached.
     pub page_chaos: bool,
-    /// Event scheduler every shard runs on. The timer wheel is the
-    /// production default; the heap is kept as the reference implementation
-    /// the equivalence tests compare against.
-    pub scheduler: Scheduler,
     /// A declarative fault schedule compiled by one [`ChaosInjector`] per
     /// shard. Faults address nodes by their stable plan labels, so the same
     /// plan replays byte-identically at every shard count. `None` (and an
@@ -251,7 +244,7 @@ pub struct SoakSpec {
 
 impl SoakSpec {
     /// Paper-calibrated defaults: 1 transaction, 48 KB PI pad, 256-byte
-    /// frames, batched delivery, single shard.
+    /// frames, single shard.
     pub fn new(seed: u64, cells: usize, devices_per_cell: usize) -> SoakSpec {
         SoakSpec {
             seed,
@@ -262,7 +255,6 @@ impl SoakSpec {
             heartbeats: 4,
             shards: 1,
             mtu: Some(256),
-            batch_links: true,
             observe: false,
             slo: false,
             monitor_rounds: 6,
@@ -270,7 +262,6 @@ impl SoakSpec {
             federation: false,
             fed_cadence: SimDuration::from_secs(10),
             fed_rounds: 3,
-            fed_delta: true,
             fed_max_inflight: 8,
             fed_batch: 16,
             fed_batch_spacing: SimDuration::from_millis(200),
@@ -282,7 +273,6 @@ impl SoakSpec {
             sample: false,
             sampler_cfg: SamplerConfig { seed, ..SamplerConfig::default() },
             page_chaos: false,
-            scheduler: Scheduler::default(),
             chaos_plan: None,
             gateway_replay_cap: 16,
         }
@@ -316,7 +306,7 @@ pub struct CellResult {
 }
 
 /// The byte-comparable results of a soak run (what must be identical across
-/// shard counts and batching modes).
+/// shard counts and ops-plane switches).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoakResults {
     /// One entry per cell, in cell order.
@@ -326,7 +316,7 @@ pub struct SoakResults {
 }
 
 /// A finished soak: the comparable results plus engine-side measurements
-/// that legitimately vary with partitioning or batching mode.
+/// that legitimately vary with partitioning.
 #[derive(Debug, Clone)]
 pub struct SoakOutcome {
     /// Byte-comparable results.
@@ -335,6 +325,10 @@ pub struct SoakOutcome {
     pub devices: usize,
     /// Total simulator events over all shards.
     pub events: u64,
+    /// Non-final frames of every fragment burst, over all shards: the events
+    /// one-event-per-frame delivery would have added to `events`. Identical
+    /// at every shard count.
+    pub frames_coalesced: u64,
     /// `events / devices`.
     pub events_per_device: f64,
     /// Largest event-queue high-water mark over the shards.
@@ -689,9 +683,7 @@ pub fn run_soak_with(
 
     for s in 0..plan.shards() {
         let mut sim = Simulator::new(spec.seed);
-        sim.set_scheduler(spec.scheduler);
         sim.set_wire_mtu(spec.mtu);
-        sim.set_link_batching(spec.batch_links);
         if spec.observe {
             sim.enable_obs();
             if spec.sample {
@@ -804,7 +796,6 @@ pub fn run_soak_with(
                 let fed_spec = FederationSpec {
                     cadence: spec.fed_cadence,
                     rounds: spec.fed_rounds,
-                    delta: spec.fed_delta,
                     max_inflight: spec.fed_max_inflight,
                     batch: spec.fed_batch,
                     batch_spacing: spec.fed_batch_spacing,
@@ -867,7 +858,7 @@ pub fn run_soak_with(
 
     // Harvest per-cell aggregates: device vectors in device order, integer
     // counters — deliberately no floating-point sums, so any partitioning
-    // (and either batching mode) yields the same bytes.
+    // yields the same bytes.
     let mut out_cells = Vec::with_capacity(spec.cells);
     let mut lost_agents = 0u64;
     let mut duplicate_executions = 0u64;
@@ -1126,6 +1117,7 @@ pub fn run_soak_with(
         results: SoakResults { cells: out_cells, coordinator_beats },
         devices,
         events,
+        frames_coalesced: engine.frames_coalesced(),
         events_per_device: events as f64 / devices as f64,
         peak_queue: engine.peak_queue_depth(),
         epochs: engine.epochs(),
@@ -1192,17 +1184,26 @@ mod tests {
 
     #[test]
     fn batching_reduces_events_but_not_results() {
-        let batched = run_soak(&tiny(13));
-        let mut spec = tiny(13);
-        spec.batch_links = false;
-        let unbatched = run_soak(&spec);
-        assert_eq!(batched.results, unbatched.results);
+        // Every PI upload is a fragment burst, so bursts coalesce many more
+        // frames than there are events, and the count of coalesced frames
+        // (like the results) must not depend on the partitioning.
+        let mono = run_soak(&tiny(13));
         assert!(
-            unbatched.events > batched.events,
-            "per-fragment mode must cost extra events ({} vs {})",
-            unbatched.events,
-            batched.events
+            mono.frames_coalesced > mono.events,
+            "bursts coalesced only {} frames against {} events",
+            mono.frames_coalesced,
+            mono.events
         );
+        for shards in [2, 3] {
+            let mut spec = tiny(13);
+            spec.shards = shards;
+            let split = run_soak(&spec);
+            assert_eq!(mono.results, split.results, "{shards} shards diverged");
+            assert_eq!(
+                mono.frames_coalesced, split.frames_coalesced,
+                "{shards}-shard coalesced frame count diverged"
+            );
+        }
     }
 
     #[test]
@@ -1318,38 +1319,6 @@ mod tests {
         assert!(written.lines().count() >= 2, "dump holds the fire+resolve edges");
     }
 
-    /// The tentpole's soak-level digest check: swapping the timer wheel for
-    /// the reference heap must change *nothing observable* — results section,
-    /// event totals, peak queue depth, epochs, SLO digests, scrape counts,
-    /// alert timeline, and the rendered obs report all stay byte-identical.
-    #[test]
-    fn scheduler_swap_keeps_soak_digests_identical() {
-        let mut base = tiny(18);
-        base.slo = true;
-        base.observe = true;
-        base.shards = 2;
-        assert_eq!(base.scheduler, Scheduler::Wheel, "wheel is the production default");
-        let wheel = run_soak(&base);
-        let mut heap_spec = base.clone();
-        heap_spec.scheduler = Scheduler::Heap;
-        let heap = run_soak(&heap_spec);
-
-        assert_eq!(wheel.results, heap.results, "results diverged across schedulers");
-        assert_eq!(wheel.events, heap.events, "event totals diverged");
-        assert_eq!(wheel.peak_queue, heap.peak_queue, "queue high-water marks diverged");
-        assert_eq!(wheel.epochs, heap.epochs, "epoch counts diverged");
-        assert_eq!(wheel.slo, heap.slo, "SLO digests diverged");
-        assert_eq!(wheel.scrapes_ok, heap.scrapes_ok);
-        assert_eq!(wheel.probe_failures, heap.probe_failures);
-        assert_eq!(wheel.alerts, heap.alerts, "alert timelines diverged");
-        assert_eq!(wheel.unresolved_alerts, 0);
-        assert_eq!(
-            crate::report::obs_json(&wheel.obs).render(),
-            crate::report::obs_json(&heap.obs).render(),
-            "rendered obs digests diverged"
-        );
-    }
-
     #[test]
     fn federation_does_not_perturb_results() {
         let mut plain = tiny(19);
@@ -1419,11 +1388,12 @@ mod tests {
     #[test]
     fn full_snapshot_mode_is_byte_identical_across_shards() {
         // The delta-default variant is covered above; this pins the
-        // `fed_delta = false` ablation to the same shard invariance.
+        // full-snapshot setting (a resync every round) to the same shard
+        // invariance.
         let mut base = tiny(22);
         base.slo = true;
         base.federation = true;
-        base.fed_delta = false;
+        base.fed_resync_every = 1;
         let mono = run_soak(&base);
         let mono_fed = mono.federation.as_ref().expect("federation report");
         assert_eq!(mono_fed.delta_scrapes, 0, "full mode must never ask for deltas");
@@ -1444,13 +1414,13 @@ mod tests {
 
     #[test]
     fn delta_mode_shrinks_scrape_bytes_without_touching_verdicts() {
-        let mut full = tiny(24);
-        full.slo = true;
-        full.federation = true;
-        full.fed_delta = false;
-        full.fed_rounds = 6;
-        let mut delta = full.clone();
-        delta.fed_delta = true;
+        // Default resync cadence: round 0 full, rounds 1–5 delta.
+        let mut delta = tiny(24);
+        delta.slo = true;
+        delta.federation = true;
+        delta.fed_rounds = 6;
+        let mut full = delta.clone();
+        full.fed_resync_every = 1;
         let f = run_soak(&full);
         let d = run_soak(&delta);
 

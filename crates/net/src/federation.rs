@@ -22,15 +22,16 @@
 //! * `federation.dropped_series` — counter of series excluded from a rollup
 //!   because their cell's snapshot aged past `stale_after`.
 //!
-//! With `delta: true` (the default) the scraper rides the exposition layer's
-//! epoch protocol: after a first full snapshot per cell it asks
-//! `GET /metrics?since=<epoch>` and receives only the series that changed,
-//! applying them in O(changed) via [`FederationRollup::apply_delta`]. Every
-//! `resync_every`-th round is a full-snapshot resync, and an epoch gap in
-//! either direction (server fell back to full, or a delta arrives against a
-//! base the scraper no longer holds) degrades safely to a full refetch —
-//! counted in `federation.resyncs`, never dropped. The merged rollup is
-//! byte-identical to full-snapshot mode at equal scrape counts.
+//! The scraper rides the exposition layer's epoch protocol: after a first
+//! full snapshot per cell it asks `GET /metrics?since=<epoch>` and receives
+//! only the series that changed, applying them in O(changed) via
+//! [`FederationRollup::apply_delta`]. Every `resync_every`-th round is a
+//! full-snapshot resync (`resync_every = 1` scrapes full snapshots only),
+//! and an epoch gap in either direction (server fell back to full, or a
+//! delta arrives against a base the scraper no longer holds) degrades safely
+//! to a full refetch — counted in `federation.resyncs`, never dropped. The
+//! merged rollup is byte-identical to full-snapshot mode at equal scrape
+//! counts.
 //!
 //! Determinism: the scraper's links carry their own per-link RNG streams
 //! (keyed by node labels, like every link), its timers and HTTP req-ids are
@@ -221,11 +222,9 @@ pub struct FederationSpec {
     /// Snapshots older than this are excluded from rollups (their series
     /// count toward `federation.dropped_series`).
     pub stale_after: SimDuration,
-    /// Scrape cells with `?since=<epoch>` delta requests once a base
-    /// snapshot is held; `false` forces a full snapshot every round.
-    pub delta: bool,
-    /// In delta mode, every Nth round is a full-snapshot resync round
-    /// (round 0 is always full).
+    /// Every Nth round is a full-snapshot resync round (round 0 is always
+    /// full); the others scrape cells with `?since=<epoch>` delta requests
+    /// once a base snapshot is held. `1` forces a full snapshot every round.
     pub resync_every: u32,
     /// Fleet rule set evaluated against each round's rollup.
     pub rules: Vec<SloRule>,
@@ -244,7 +243,6 @@ impl Default for FederationSpec {
             batch_spacing: SimDuration::from_millis(200),
             max_inflight: 8,
             stale_after: SimDuration::from_secs(30),
-            delta: true,
             resync_every: 8,
             rules: Vec::new(),
             pager: None,
@@ -420,8 +418,7 @@ impl FederationScraper {
     }
 
     fn start_round(&mut self, ctx: &mut Ctx<'_>) {
-        self.full_round = !self.spec.delta
-            || self.rounds_done.is_multiple_of(u64::from(self.spec.resync_every.max(1)));
+        self.full_round = self.rounds_done.is_multiple_of(u64::from(self.spec.resync_every.max(1)));
         self.queue = (0..self.targets.len()).collect();
         self.budget = self.spec.batch.max(1).min(self.targets.len());
         self.issued = 0;

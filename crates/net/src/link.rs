@@ -486,8 +486,7 @@ impl Topology {
     /// The burst is one transfer: exactly one loss draw and one jitter draw
     /// are taken, the same stream consumption as [`Topology::route`], so a
     /// simulation's draw sequence is identical whether or not fragmentation
-    /// is modelled — and identical between batched (one heap event at the
-    /// tail) and per-fragment (one heap event per frame) scheduling.
+    /// is modelled.
     pub fn route_burst(
         &mut self,
         from: NodeId,

@@ -1,23 +1,24 @@
-//! Event queues and timer bookkeeping for the simulator hot loop.
+//! The simulator's event queue and timer bookkeeping.
 //!
 //! The discrete-event core orders every pending event by `(time, seq)` —
 //! absolute microsecond first, global insertion sequence as the tie-break.
-//! This module provides two interchangeable priority queues over that order:
 //!
-//! * [`TimerWheel`] — a hierarchical timer wheel (4 levels × 64 slots of
-//!   1 µs ticks, so a 2²⁴ µs ≈ 16.8 s in-wheel horizon) backed by a
-//!   slab-allocated event arena with intrusive bucket lists. Arm (push) and
-//!   fire (pop) are O(1) amortized: no per-event heap allocation, no sift.
-//!   Events beyond the horizon sit in a small overflow heap and are promoted
-//!   as the wheel's cursor approaches them.
-//! * [`HeapQueue`] — the reference `BinaryHeap` implementation the wheel
-//!   replaced, kept behind the same API for equivalence property tests and
-//!   before/after benchmarks (`BENCH_event_queue.json`).
+//! * [`TimerWheel`] — the queue [`crate::sim::Simulator`] runs on: a
+//!   hierarchical timer wheel (4 levels × 64 slots of 1 µs ticks, so a
+//!   2²⁴ µs ≈ 16.8 s in-wheel horizon) backed by a slab-allocated event arena
+//!   with intrusive bucket lists. Arm (push) and fire (pop) are O(1)
+//!   amortized: no per-event heap allocation, no sift. Events beyond the
+//!   horizon sit in a small overflow heap and are promoted as the wheel's
+//!   cursor approaches them.
+//! * [`HeapQueue`] — a plain `BinaryHeap` over the same order with the same
+//!   API. It is not a simulator mode: it is the oracle the wheel's property
+//!   tests and the `event_queue` bench (`BENCH_event_queue.json`) compare
+//!   pop streams against.
 //!
-//! Determinism is the whole point: [`EventQueue::pop`] yields *exactly* the
-//! global `(time, seq)` minimum on both implementations, byte for byte, so
-//! swapping the scheduler cannot change a single simulation result. DESIGN.md
-//! §12 carries the full argument; the invariants are restated inline below.
+//! Determinism is the whole point: [`TimerWheel::pop`] yields *exactly* the
+//! global `(time, seq)` minimum, byte for byte the stream the heap pops.
+//! DESIGN.md §12 carries the full argument; the invariants are restated
+//! inline below.
 //!
 //! [`TimerSlab`] replaces the old `armed: HashSet<TimerId>` timer set with
 //! generation-stamped slab slots: arm/cancel/fire are array index + integer
@@ -41,17 +42,6 @@ pub const WHEEL_HORIZON: u64 = 1 << (WHEEL_SLOT_BITS * WHEEL_LEVELS as u32);
 
 /// Null index for the intrusive slot lists.
 const NIL: u32 = u32::MAX;
-
-/// Which event-queue implementation a simulator runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The hierarchical timer wheel (production default).
-    #[default]
-    Wheel,
-    /// The reference binary heap — kept for equivalence checks and the
-    /// before/after numbers in `BENCH_event_queue.json`.
-    Heap,
-}
 
 /// One arena slot: an event's timestamp/sequence plus an intrusive link.
 /// Freed slots are chained through `next` on the arena's free list, so the
@@ -131,8 +121,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Pending event count, including tombstoned (cancelled-but-queued)
-    /// timer events — the same accounting the reference heap's `len()` has,
-    /// so `peak_queue` stays byte-identical across schedulers.
+    /// timer events — the same accounting the oracle heap's `len()` has.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -363,9 +352,10 @@ impl<T> TimerWheel<T> {
     }
 }
 
-/// The reference scheduler: a `(time, seq)`-ordered binary heap. This is the
-/// exact structure the simulator used before the wheel; it stays as the
-/// equivalence oracle and the "before" side of `BENCH_event_queue.json`.
+/// The oracle queue: a `(time, seq)`-ordered binary heap. The wheel's
+/// property tests and the `event_queue` bench replay the same op streams on
+/// both and compare what pops out; it is also the baseline side of
+/// `BENCH_event_queue.json`.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
@@ -431,77 +421,6 @@ impl<T> HeapQueue<T> {
     /// Remove and return the earliest `(time, seq, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.payload))
-    }
-}
-
-/// Scheduler dispatch: the simulator owns one of these and every event-loop
-/// operation forwards to the selected implementation. Both sides yield
-/// byte-identical pop order (see the equivalence tests below).
-// The wheel variant is ~1.2 KB (inline bucket heads + bitmaps) against the
-// heap's three words — but the wheel is the production variant on the event
-// hot path, so boxing it (clippy's suggestion) would trade one inline enum
-// for a pointer chase per push/pop. One such enum exists per simulator.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Hierarchical timer wheel (default).
-    Wheel(TimerWheel<T>),
-    /// Reference binary heap.
-    Heap(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// A queue of the requested flavor.
-    pub fn new(scheduler: Scheduler) -> EventQueue<T> {
-        match scheduler {
-            Scheduler::Wheel => EventQueue::Wheel(TimerWheel::new()),
-            Scheduler::Heap => EventQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn scheduler(&self) -> Scheduler {
-        match self {
-            EventQueue::Wheel(_) => Scheduler::Wheel,
-            EventQueue::Heap(_) => Scheduler::Heap,
-        }
-    }
-
-    /// Pending event count (tombstoned timers included).
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    /// True when no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedule `payload` at `(time, seq)`.
-    pub fn push(&mut self, time: u64, seq: u64, payload: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time, seq, payload),
-            EventQueue::Heap(h) => h.push(time, seq, payload),
-        }
-    }
-
-    /// Earliest pending event's time (settles the wheel).
-    pub fn peek_time(&mut self) -> Option<u64> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time(),
-            EventQueue::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// Remove and return the earliest `(time, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
     }
 }
 
@@ -790,20 +709,5 @@ mod tests {
         }
         assert_eq!(slab.capacity(), 1);
         assert_eq!(slab.armed(), 0);
-    }
-
-    #[test]
-    fn event_queue_dispatch_matches_both_ways() {
-        for scheduler in [Scheduler::Wheel, Scheduler::Heap] {
-            let mut q = EventQueue::new(scheduler);
-            assert_eq!(q.scheduler(), scheduler);
-            q.push(9, 1, "a");
-            q.push(3, 2, "b");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(3));
-            assert_eq!(q.pop(), Some((3, 2, "b")));
-            assert_eq!(q.pop(), Some((9, 1, "a")));
-            assert!(q.is_empty());
-        }
     }
 }

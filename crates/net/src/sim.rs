@@ -9,8 +9,14 @@
 //! Determinism: events are ordered by `(time, insertion sequence)`, so equal
 //! timestamps resolve in a stable order and a run is a pure function of the
 //! seed and setup. The ordering is implemented by the hierarchical timer
-//! wheel in [`crate::queue`] (with the reference binary heap selectable via
-//! [`Simulator::set_scheduler`]); both yield byte-identical runs.
+//! wheel in [`crate::queue`], whose pop stream the queue tests check against
+//! a binary-heap oracle.
+//!
+//! Fragment bursts: a message larger than the wire MTU crosses the link as
+//! MTU-sized frames, but only its last frame costs an event — the delivery.
+//! The other frames are counted in [`Simulator::frames_coalesced`], so
+//! `events_processed + frames_coalesced` is the event count a scheduler
+//! with one event per frame would have processed.
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -19,16 +25,13 @@ use crate::link::{ChaosOverlay, LinkSpec, Topology};
 use crate::message::Message;
 use crate::metrics::{Metrics, MetricsRegistry};
 use crate::obs::{Collector, ObsEvent, ObsSummary};
-use crate::queue::{EventQueue, Scheduler, TimerSlab, TimerToken};
+use crate::queue::{TimerSlab, TimerToken, TimerWheel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEntry};
 
 /// Index of a node within a simulation.
 pub type NodeId = usize;
-
-/// Boxed handler invoked on a node during event dispatch.
-type NodeAction = Box<dyn FnOnce(&mut dyn Node, &mut Ctx<'_>)>;
 
 /// Identifier of a pending timer (for cancellation). Internally a
 /// generation-stamped slab token (see [`crate::queue::TimerSlab`]), so
@@ -74,14 +77,6 @@ enum EventKind {
     Start(NodeId),
     Deliver { to: NodeId, from: NodeId, msg: Message },
     Timer { node: NodeId, tag: u64, id: TimerId },
-    /// One link frame of a fragmented transfer finished serializing. Only
-    /// scheduled when link batching is *off* (see
-    /// [`Simulator::set_link_batching`]): it exists to measure the event-queue
-    /// pressure that per-fragment scheduling costs. Dispatch just bumps the
-    /// sender's `link.fragments` counter — no node code runs, no RNG draws —
-    /// so batched and per-fragment runs stay byte-identical in everything but
-    /// event count.
-    Fragment { from: NodeId },
 }
 
 /// A message bound for a node hosted by *another* shard's simulator, captured
@@ -105,7 +100,7 @@ pub struct Outbound {
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: NodeId,
-    queue: &'a mut EventQueue<EventKind>,
+    queue: &'a mut TimerWheel<EventKind>,
     seq: &'a mut u64,
     timers: &'a mut TimerSlab,
     topology: &'a mut Topology,
@@ -116,7 +111,7 @@ pub struct Ctx<'a> {
     outbox: &'a mut Vec<Outbound>,
     burst_scratch: &'a mut Vec<SimDuration>,
     mtu: Option<usize>,
-    batch_links: bool,
+    frames_coalesced: &'a mut u64,
     paused: &'a mut HashSet<NodeId>,
     parked: &'a mut Vec<ParkedTimer>,
     skews: &'a mut HashMap<NodeId, f64>,
@@ -167,9 +162,10 @@ impl Ctx<'_> {
     ///
     /// Messages larger than the wire MTU (when one is set, see
     /// [`Simulator::set_wire_mtu`]) go as a fragment burst: the link decides
-    /// every frame's arrival in one [`Topology::route_burst_into`] call, and —
-    /// unless batching is disabled — only the *last* frame costs a heap
-    /// event. The message is delivered when its final byte lands either way.
+    /// every frame's arrival in one [`Topology::route_burst_into`] call, and
+    /// only the *last* frame costs an event — the delivery, when the final
+    /// byte lands. The other frames of an accepted burst are added to
+    /// [`Simulator::frames_coalesced`].
     ///
     /// If `to` is a remote placeholder (a node hosted by another shard's
     /// simulator, see [`Simulator::add_remote`]), the link model still runs
@@ -192,14 +188,7 @@ impl Ctx<'_> {
                     self.now,
                     self.burst_scratch,
                 ) {
-                    if !self.batch_links {
-                        for i in 0..self.burst_scratch.len() - 1 {
-                            let frame = self.burst_scratch[i];
-                            let at = self.now + frame;
-                            let from = self.self_id;
-                            self.push(at, EventKind::Fragment { from });
-                        }
-                    }
+                    *self.frames_coalesced += self.burst_scratch.len() as u64 - 1;
                     Some(*self.burst_scratch.last().expect("burst has at least one frame"))
                 } else {
                     None
@@ -513,7 +502,7 @@ impl Ctx<'_> {
 pub struct Simulator {
     nodes: Vec<Option<Box<dyn Node>>>,
     topology: Topology,
-    queue: EventQueue<EventKind>,
+    queue: TimerWheel<EventKind>,
     time: SimTime,
     seq: u64,
     /// Timer arm/cancel/fire bookkeeping: generation-stamped slab slots. A
@@ -535,8 +524,9 @@ pub struct Simulator {
     outbox: Vec<Outbound>,
     /// When set, messages larger than this fragment into MTU-byte frames.
     mtu: Option<usize>,
-    /// Batched (one event per burst, default) vs per-fragment scheduling.
-    batch_links: bool,
+    /// Non-final frames of every accepted fragment burst: frames that
+    /// crossed the link without costing an event (see [`Ctx::send`]).
+    frames_coalesced: u64,
     /// Reusable arrival-offset buffer for fragment bursts (see
     /// [`Topology::route_burst_into`]); avoids a Vec per oversized send.
     burst_scratch: Vec<SimDuration>,
@@ -562,7 +552,7 @@ impl Simulator {
         Simulator {
             nodes: Vec::new(),
             topology,
-            queue: EventQueue::new(Scheduler::default()),
+            queue: TimerWheel::new(),
             time: SimTime::ZERO,
             seq: 0,
             timers: TimerSlab::new(),
@@ -576,7 +566,7 @@ impl Simulator {
             remote_ids: HashSet::new(),
             outbox: Vec::new(),
             mtu: None,
-            batch_links: true,
+            frames_coalesced: 0,
             burst_scratch: Vec::new(),
             peak_queue: 0,
             paused: HashSet::new(),
@@ -584,23 +574,6 @@ impl Simulator {
             skews: HashMap::new(),
             max_events: 50_000_000,
         }
-    }
-
-    /// Select the event-queue implementation (default: the timer wheel).
-    /// Both schedulers produce byte-identical results — the heap stays
-    /// selectable for equivalence tests and before/after benchmarks. Must be
-    /// called before anything is scheduled.
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "set_scheduler must run before any event is scheduled"
-        );
-        self.queue = EventQueue::new(scheduler);
-    }
-
-    /// Which event-queue implementation this simulator runs on.
-    pub fn scheduler(&self) -> Scheduler {
-        self.queue.scheduler()
     }
 
     /// Start recording every delivered message (see [`crate::trace`]).
@@ -697,13 +670,6 @@ impl Simulator {
         self.mtu = mtu;
     }
 
-    /// Batched (default) vs per-fragment event scheduling for bursts. Both
-    /// modes produce byte-identical simulation results; per-fragment exists
-    /// to measure the event-queue pressure batching removes.
-    pub fn set_link_batching(&mut self, batch: bool) {
-        self.batch_links = batch;
-    }
-
     /// Drain the cross-shard outbox (deliveries to remote placeholders
     /// captured since the last call).
     pub fn take_outbox(&mut self) -> Vec<Outbound> {
@@ -733,6 +699,13 @@ impl Simulator {
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Non-final frames of the fragment bursts sent so far: the events a
+    /// scheduler with one event per frame would have added on top of
+    /// [`Simulator::events_processed`].
+    pub fn frames_coalesced(&self) -> u64 {
+        self.frames_coalesced
     }
 
     /// Timers currently armed (set, not yet fired or cancelled). Bounded by
@@ -820,61 +793,56 @@ impl Simulator {
         self.time = time;
         self.events_processed += 1;
         // +1: the event just popped was in the queue a moment ago. The
-        // queue's len() is an O(1) occupancy counter on both schedulers and
-        // counts tombstoned timers, so the sample is scheduler-invariant.
+        // queue's len() is an O(1) occupancy counter and counts tombstoned
+        // timers.
         self.peak_queue = self.peak_queue.max(self.queue.len() + 1);
-        let (node_id, action): (NodeId, NodeAction) =
-            match kind {
-                EventKind::Start(id) => (id, Box::new(|n, ctx| n.on_start(ctx))),
-                EventKind::Fragment { from } => {
-                    self.metrics.node_mut(from).bump("link.fragments", 1.0);
-                    return;
+        match kind {
+            EventKind::Start(id) => self.run_node(id, |n, ctx| n.on_start(ctx)),
+            // A paused ("crashed") node loses in-flight deliveries and parks
+            // its timers. Deliveries are judged at arrival time — a pure
+            // function of the fault plan plus partition-invariant delivery
+            // times — so the drop set is identical under every sharding.
+            // Timers are always local to the owning shard.
+            EventKind::Deliver { to, .. }
+                if !self.paused.is_empty() && self.paused.contains(&to) =>
+            {
+                self.metrics.node_mut(to).bump("chaos.crash_drops", 1.0);
+            }
+            EventKind::Timer { node, tag, id }
+                if !self.paused.is_empty() && self.paused.contains(&node) =>
+            {
+                self.parked.push(ParkedTimer { at: time, node, tag, id });
+            }
+            EventKind::Deliver { to, from, msg } => {
+                let m = self.metrics.node_mut(to);
+                m.bytes_received += msg.wire_size() as u64;
+                m.msgs_received += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.record(TraceEntry {
+                        at: time,
+                        from,
+                        to,
+                        kind: msg.kind.clone(),
+                        bytes: msg.wire_size(),
+                        trace: msg.obs.trace,
+                    });
                 }
-                // A paused ("crashed") node loses in-flight deliveries and
-                // parks its timers. Deliveries are judged at arrival time —
-                // a pure function of the fault plan plus partition-invariant
-                // delivery times — so the drop set is identical under every
-                // sharding. Timers are always local to the owning shard.
-                EventKind::Deliver { to, .. }
-                    if !self.paused.is_empty() && self.paused.contains(&to) =>
-                {
-                    self.metrics.node_mut(to).bump("chaos.crash_drops", 1.0);
-                    return;
+                self.run_node(to, |n, ctx| n.on_message(ctx, from, msg));
+            }
+            EventKind::Timer { node, tag, id } => {
+                // Fires only if still armed; popping always retires the slab
+                // slot, so cancelled-timer bookkeeping cannot grow without
+                // bound.
+                if self.timers.disarm(id.0) {
+                    self.run_node(node, |n, ctx| n.on_timer(ctx, tag));
                 }
-                EventKind::Timer { node, tag, id }
-                    if !self.paused.is_empty() && self.paused.contains(&node) =>
-                {
-                    self.parked.push(ParkedTimer { at: time, node, tag, id });
-                    return;
-                }
-                EventKind::Deliver { to, from, msg } => {
-                    {
-                        let m = self.metrics.node_mut(to);
-                        m.bytes_received += msg.wire_size() as u64;
-                        m.msgs_received += 1;
-                    }
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(TraceEntry {
-                            at: time,
-                            from,
-                            to,
-                            kind: msg.kind.clone(),
-                            bytes: msg.wire_size(),
-                            trace: msg.obs.trace,
-                        });
-                    }
-                    (to, Box::new(move |n, ctx| n.on_message(ctx, from, msg)))
-                }
-                EventKind::Timer { node, tag, id } => {
-                    // Fires only if still armed; popping always retires the
-                    // slab slot, so cancelled-timer bookkeeping cannot grow
-                    // without bound.
-                    if !self.timers.disarm(id.0) {
-                        return;
-                    }
-                    (node, Box::new(move |n, ctx| n.on_timer(ctx, tag)))
-                }
-            };
+            }
+        }
+    }
+
+    /// Run `handler` on node `node_id` with a fresh [`Ctx`]. Remote
+    /// placeholders have no state machine, so events for them end here.
+    fn run_node(&mut self, node_id: NodeId, handler: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
         let Some(mut node) = self.nodes[node_id].take() else {
             return;
         };
@@ -892,12 +860,12 @@ impl Simulator {
             outbox: &mut self.outbox,
             burst_scratch: &mut self.burst_scratch,
             mtu: self.mtu,
-            batch_links: self.batch_links,
+            frames_coalesced: &mut self.frames_coalesced,
             paused: &mut self.paused,
             parked: &mut self.parked,
             skews: &mut self.skews,
         };
-        action(node.as_mut(), &mut ctx);
+        handler(node.as_mut(), &mut ctx);
         self.nodes[node_id] = Some(node);
     }
 
@@ -1278,28 +1246,43 @@ mod tests {
         }
     }
 
-    fn bulk_sim(seed: u64, mtu: Option<usize>, batch: bool) -> (SimTime, u64) {
+    /// One 8000 B send from `src` to `sink` over GPRS; returns the finished
+    /// simulator and the sender's id.
+    fn bulk_sim(seed: u64, mtu: Option<usize>) -> (Simulator, NodeId) {
         let mut sim = Simulator::new(seed);
         let sink = sim.add_node(Box::new(ArrivalLog { got: vec![] }));
         let src = sim.add_node(Box::new(BulkSender { peer: sink, bytes: 8_000 }));
         sim.connect(src, sink, LinkSpec::wireless_gprs());
         sim.set_wire_mtu(mtu);
-        sim.set_link_batching(batch);
         sim.run_until_idle();
-        let arrival = sim.node_ref::<ArrivalLog>(sink).unwrap().got[0];
-        (arrival, sim.events_processed())
+        (sim, src)
+    }
+
+    fn arrival(sim: &Simulator) -> SimTime {
+        sim.node_ref::<ArrivalLog>(0).unwrap().got[0]
     }
 
     #[test]
-    fn batched_and_per_fragment_bursts_deliver_identically() {
-        // Same seed, same MTU: identical arrival time whether fragments cost
-        // heap events or not — only the event count differs.
-        let (t_batched, e_batched) = bulk_sim(21, Some(256), true);
-        let (t_frag, e_frag) = bulk_sim(21, Some(256), false);
-        assert_eq!(t_batched, t_frag);
-        // 8000 bytes (+overhead) at 256 B/frame ≈ 32 fragments; all but the
-        // last are extra events in per-fragment mode.
-        assert!(e_frag >= e_batched + 30, "batched {e_batched}, frag {e_frag}");
+    fn burst_costs_one_delivery_event_and_counts_coalesced_frames() {
+        let (sim, src) = bulk_sim(21, Some(256));
+        // Two starts plus the one delivery: no event per frame.
+        assert_eq!(sim.events_processed(), 3);
+        let frames = Message::new("bulk", vec![0u8; 8_000]).wire_size().div_ceil(256);
+        assert!(frames > 30, "8000 B at 256 B/frame is a real burst ({frames} frames)");
+        assert_eq!(sim.frames_coalesced(), frames as u64 - 1);
+        // The count lives on the simulator, not in the node's metrics: a
+        // counter there would show up in every /metrics scrape body.
+        let link_series: Vec<_> = sim
+            .metrics(src)
+            .counters_sorted()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("link."))
+            .collect();
+        assert!(link_series.is_empty(), "burst added metrics series {link_series:?}");
+        // Without an MTU the same send is one frame: nothing to coalesce.
+        let (whole, _) = bulk_sim(21, None);
+        assert_eq!(whole.events_processed(), 3);
+        assert_eq!(whole.frames_coalesced(), 0);
     }
 
     #[test]
@@ -1308,8 +1291,8 @@ mod tests {
         // loss + one jitter draw either way), so the message still lands
         // within per-frame rounding (±1µs per fragment) of the unfragmented
         // transfer.
-        let (t_whole, _) = bulk_sim(22, None, true);
-        let (t_burst, _) = bulk_sim(22, Some(256), true);
+        let t_whole = arrival(&bulk_sim(22, None).0);
+        let t_burst = arrival(&bulk_sim(22, Some(256)).0);
         let skew = if t_whole >= t_burst {
             t_whole.since(t_burst)
         } else {
@@ -1388,7 +1371,7 @@ mod tests {
     /// A timer-churn node driven by a generated op script. One drive timer
     /// steps through the script; each step arms near/far payload timers or
     /// cancels a live / an already-fired handle, covering every arm/cancel/
-    /// fire interleaving class the scheduler swap must preserve.
+    /// fire interleaving class the timer wheel must get right.
     struct ScriptedChurn {
         script: Vec<(u8, u64)>,
         step: usize,
@@ -1398,6 +1381,22 @@ mod tests {
     }
 
     const DRIVE: u64 = u64::MAX;
+
+    /// Delay of the payload timer a script step arms (`None`: a cancel step).
+    fn payload_delay(op: u8, arg: u64) -> Option<u64> {
+        match op % 4 {
+            // Near timer: within the wheel levels.
+            0 => Some(arg % 5_000_000),
+            // Far timer: past the wheel horizon → overflow promotion.
+            1 => Some(crate::queue::WHEEL_HORIZON + arg % 2_000_000),
+            _ => None,
+        }
+    }
+
+    /// Gap to the next drive step: uneven, so steps land on varied ticks.
+    fn drive_gap(arg: u64) -> u64 {
+        1 + (arg % 97) * 1_013
+    }
 
     impl Node for ScriptedChurn {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1414,40 +1413,31 @@ mod tests {
             };
             let step = self.step as u64;
             self.step += 1;
-            match op % 4 {
-                // Near timer: within the wheel levels.
-                0 => {
-                    let id = ctx.set_timer(SimDuration(arg % 5_000_000), step);
-                    self.live.push_back(id);
-                }
-                // Far timer: past the wheel horizon → overflow promotion.
-                1 => {
-                    let delay = crate::queue::WHEEL_HORIZON + arg % 2_000_000;
+            match (payload_delay(op, arg), op % 4) {
+                (Some(delay), _) => {
                     let id = ctx.set_timer(SimDuration(delay), step);
                     self.live.push_back(id);
                 }
                 // Cancel the oldest live timer (tombstones its queued event).
-                2 => {
+                (None, 2) => {
                     if let Some(id) = self.live.pop_front() {
                         ctx.cancel_timer(id);
                         self.dead.push(id);
                     }
                 }
                 // Cancel an already-cancelled/fired handle: must be a no-op.
-                _ => {
+                (None, _) => {
                     if let Some(&id) = self.dead.get(arg as usize % self.dead.len().max(1)) {
                         ctx.cancel_timer(id);
                     }
                 }
             }
-            // Uneven drive cadence so steps land on varied wheel ticks.
-            ctx.set_timer(SimDuration(1 + (arg % 97) * 1_013), DRIVE);
+            ctx.set_timer(SimDuration(drive_gap(arg)), DRIVE);
         }
     }
 
-    fn churn_run(scheduler: Scheduler, script: &[(u8, u64)]) -> (Vec<(SimTime, u64)>, u64, usize) {
+    fn churn_run(script: &[(u8, u64)]) -> (Vec<(SimTime, u64)>, u64) {
         let mut sim = Simulator::new(99);
-        sim.set_scheduler(scheduler);
         let id = sim.add_node(Box::new(ScriptedChurn {
             script: script.to_vec(),
             step: 0,
@@ -1456,25 +1446,87 @@ mod tests {
             fired: Vec::new(),
         }));
         sim.run_until_idle();
+        assert_eq!(sim.outstanding_timers(), 0);
         let node = sim.node_ref::<ScriptedChurn>(id).unwrap();
-        (node.fired.clone(), sim.events_processed(), sim.peak_queue_depth())
+        (node.fired.clone(), sim.events_processed())
+    }
+
+    /// What [`churn_run`] must return, computed from the script alone (the
+    /// drive cadence never depends on payload timers). Every `set_timer`
+    /// call gets the next arm index, and timer events run in `(due, arm)`
+    /// order. A payload timer fires exactly once, at arm time + delay,
+    /// unless a cancel naming it runs before it is due; a cancelled timer
+    /// still pops (and counts) as one event.
+    fn churn_model(script: &[(u8, u64)]) -> (Vec<(SimTime, u64)>, u64) {
+        // (due, arm index, tag, cancelled before firing)
+        let mut payload: Vec<(u64, u64, u64, bool)> = Vec::new();
+        let mut live = std::collections::VecDeque::new();
+        // `on_start` arms drive timer 0, due at t = 0.
+        let (mut now, mut drive, mut arms) = (0u64, 0u64, 1u64);
+        for (step, &(op, arg)) in script.iter().enumerate() {
+            match (payload_delay(op, arg), op % 4) {
+                (Some(delay), _) => {
+                    live.push_back(payload.len());
+                    payload.push((now + delay, arms, step as u64, false));
+                    arms += 1;
+                }
+                (None, 2) => {
+                    if let Some(i) = live.pop_front() {
+                        let (due, arm, _, _) = payload[i];
+                        // Runs while drive event (now, drive) dispatches.
+                        payload[i].3 = (due, arm) > (now, drive);
+                    }
+                }
+                (None, _) => {}
+            }
+            drive = arms;
+            arms += 1;
+            now += drive_gap(arg);
+        }
+        let mut fired: Vec<(u64, u64, u64)> = payload
+            .iter()
+            .filter(|p| !p.3)
+            .map(|&(due, arm, tag, _)| (due, arm, tag))
+            .collect();
+        fired.sort_unstable();
+        // One Start, one drive event per step plus the last (idle) one, and
+        // one event per payload arm, fired or tombstoned.
+        let events = 1 + script.len() as u64 + 1 + payload.len() as u64;
+        (fired.into_iter().map(|(due, _, tag)| (SimTime(due), tag)).collect(), events)
+    }
+
+    #[test]
+    fn churn_model_covers_cancels_and_same_tick_ties() {
+        // Step 0 arms a timer due at 9700 µs and the next step runs 1 µs
+        // later (arg 9700 is a multiple of 97), where step 1 cancels it
+        // before it is due. Step 2 (t = 2) arms a zero-delay timer, which
+        // fires within the same tick; step 3 (t = 3) cancels it after it
+        // fired, a no-op.
+        let script = [(0, 9_700), (2, 0), (0, 0), (2, 0)];
+        let (fired, events) = churn_model(&script);
+        assert_eq!(fired, vec![(SimTime(2), 2)]);
+        // Start + five drive events + two payload events (one tombstoned).
+        assert_eq!(events, 1 + 5 + 2);
+        assert_eq!(churn_run(&script), (fired, events));
+        // Two timers armed at t = 0 and t = 1 both come due at 9700 µs:
+        // they fire in arm order.
+        let script = [(0, 9_700), (0, 9_699)];
+        let (fired, events) = churn_model(&script);
+        assert_eq!(fired, vec![(SimTime(9_700), 0), (SimTime(9_700), 1)]);
+        assert_eq!(churn_run(&script), (fired, events));
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(32))]
-        /// The tentpole's equivalence property at the simulator level: any
-        /// arm/cancel/fire interleaving — including cancels of already-fired
-        /// timers and far-future timers that ride the overflow heap — fires
-        /// the same timers at the same times in the same order, processes the
-        /// same number of events, and peaks at the same queue depth under the
-        /// timer wheel as under the reference binary heap.
+        /// Any arm/cancel/fire interleaving — including cancels of
+        /// already-fired timers and far-future timers that ride the wheel's
+        /// overflow heap — fires exactly the timers the model says, at the
+        /// times and in the order it says, for the number of events it says.
         #[test]
-        fn wheel_and_heap_schedulers_are_byte_equivalent(
+        fn scripted_timer_churn_matches_exact_model(
             script in proptest::collection::vec((0u8..4, 0u64..u64::MAX / 2), 0..120),
         ) {
-            let wheel = churn_run(Scheduler::Wheel, &script);
-            let heap = churn_run(Scheduler::Heap, &script);
-            proptest::prop_assert_eq!(wheel, heap);
+            proptest::prop_assert_eq!(churn_run(&script), churn_model(&script));
         }
     }
 }

@@ -349,12 +349,11 @@ pub struct MonitorSpec {
     pub retries: u32,
     /// The rule set every target is evaluated against.
     pub rules: Vec<SloRule>,
-    /// Conditional scrapes: ask each target for `?since=<last epoch>` so
-    /// steady-state scrapes carry only changed series. Off = every scrape
-    /// ships the full exposition.
-    pub delta: bool,
-    /// With `delta` on, every Nth round (and the first) is a full-snapshot
-    /// resync round, bounding how long a lost update could go unnoticed.
+    /// Conditional scrapes: outside resync rounds, ask each target for
+    /// `?since=<last epoch>` so steady-state scrapes carry only changed
+    /// series. Every Nth round (and the first) is a full-snapshot resync
+    /// round, bounding how long a lost update could go unnoticed; `1` makes
+    /// every scrape ship the full exposition.
     pub resync_every: u32,
 }
 
@@ -366,7 +365,6 @@ impl Default for MonitorSpec {
             rto: SimDuration::from_secs(2),
             retries: 1,
             rules: Vec::new(),
-            delta: true,
             resync_every: 8,
         }
     }
@@ -587,9 +585,8 @@ impl SloMonitor {
 
     fn scrape_all(&mut self, ctx: &mut Ctx<'_>) {
         // Every `resync_every`-th round (and the first) scrapes full
-        // snapshots even in delta mode, bounding resync debt.
-        let full_round =
-            !self.spec.delta || (self.round - 1).is_multiple_of(self.spec.resync_every.max(1));
+        // snapshots, bounding resync debt.
+        let full_round = (self.round - 1).is_multiple_of(self.spec.resync_every.max(1));
         for tidx in 0..self.targets.len() {
             let node = self.targets[tidx].node;
             let now = ctx.now();

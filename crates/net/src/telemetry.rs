@@ -1073,12 +1073,15 @@ impl TelemetryServer {
         &self.delta
     }
 
-    /// Handle `GET /metrics[?since=..]` and `GET /healthz`; returns `false`
-    /// to leave any other request for the caller's protocol dispatch. Same
-    /// contract as [`serve_telemetry`], plus delta encoding: when the
-    /// scraper's `since` epoch is still servable the reply carries only the
-    /// series changed past it, under the `# EPOCH` header; otherwise (gap,
-    /// removal, legacy scraper) a full snapshot goes out.
+    /// Handle `GET /metrics[?since=..]`, `GET /healthz` and `GET /traces`:
+    /// answer it (uncached — scrapes must never enter replay caches) and
+    /// return `true`, or return `false` to leave any other request for the
+    /// caller's protocol dispatch. Nothing is rendered until a scrape
+    /// arrives, and without a collector the exposition carries no histogram
+    /// families. Delta encoding: when the scraper's `since` epoch is still
+    /// servable the reply carries only the series changed past it, under the
+    /// `# EPOCH` header; otherwise (gap, removal, legacy scraper) a full
+    /// snapshot goes out.
     pub fn serve(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest, instance: &str) -> bool {
         if req.method != "GET" {
             return false;
@@ -1099,7 +1102,7 @@ impl TelemetryServer {
                 } else {
                     self.delta.render_into(instance, since, &mut self.body);
                     // Engine-level gauge: the hosting simulator's event-queue
-                    // depth, read off the scheduler's O(1) occupancy counter.
+                    // depth, read off the event queue's O(1) occupancy counter.
                     // Zero-padded to a fixed width because the value is
                     // partition-*dependent* (each shard has its own queue)
                     // while scrape bodies must cost the same bytes on the
@@ -1209,67 +1212,6 @@ fn serve_traces(ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest) {
     match body {
         Some(b) => reply(ctx, from, req, HttpStatus::Ok, b.into_bytes()),
         None => reply(ctx, from, req, HttpStatus::NotFound, Vec::<u8>::new()),
-    }
-}
-
-/// Server-side handler: if `req` is a `GET` for [`PATH_METRICS`] or
-/// [`PATH_HEALTHZ`], answer it (uncached — scrapes must never enter replay
-/// caches) and return `true`; otherwise leave the request for the caller's
-/// protocol dispatch. Zero-cost when unused: nothing is rendered until a
-/// scrape actually arrives, and without a collector the exposition carries
-/// no histogram families.
-///
-/// This is the stateless legacy path: it re-renders the full exposition per
-/// scrape and never emits an `# EPOCH` header. A `?since=` query is accepted
-/// but ignored (the scraper sees a legacy full body and replaces its copy).
-/// Long-lived servers should hold a [`TelemetryServer`] instead.
-pub fn serve_telemetry(ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest, instance: &str) -> bool {
-    if req.method != "GET" {
-        return false;
-    }
-    match parse_since(&req.path).0 {
-        PATH_METRICS => {
-            set_sampler_gauges(ctx);
-            let stages: Vec<(String, Histogram)> = ctx
-                .obs_collector()
-                .map(|c| {
-                    c.stages().iter().map(|(n, h)| ((*n).to_owned(), (*h).clone())).collect()
-                })
-                .unwrap_or_default();
-            let mut snap = TelemetrySnapshot::capture(ctx.metrics(), &stages);
-            snap.exemplars = ctx
-                .obs_collector()
-                .map(|c| {
-                    c.exemplars()
-                        .into_iter()
-                        .map(|(n, rows)| (n.to_owned(), rows.to_vec()))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut body = render_prom(instance, &snap);
-            // See TelemetryServer::serve for why this is zero-padded.
-            let _ = writeln!(body, "# TYPE pdagent_sim_queue_depth gauge");
-            let _ = writeln!(
-                body,
-                "pdagent_sim_queue_depth{{instance=\"{}\",key=\"{KEY_QUEUE_DEPTH}\"}} {:012}",
-                escape_label(instance),
-                ctx.queue_depth()
-            );
-            ctx.metrics().bump("telemetry.scrapes", 1.0);
-            reply(ctx, from, req, HttpStatus::Ok, body.into_bytes());
-            true
-        }
-        PATH_HEALTHZ => {
-            let body = render_health(instance, ctx.now());
-            ctx.metrics().bump("telemetry.probes", 1.0);
-            reply(ctx, from, req, HttpStatus::Ok, body.into_bytes());
-            true
-        }
-        PATH_TRACES => {
-            serve_traces(ctx, from, req);
-            true
-        }
-        _ => false,
     }
 }
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Repo verification: build, test, lint. This is what CI runs and what a
 # contributor should run before pushing. Tier-1 (ROADMAP.md) is the
-# build+test pair; clippy keeps the workspace warning-clean.
+# build+test pair; clippy keeps the workspace, tests and benches included,
+# warning-clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Benchmark correctness gate: perfbench's own tests run whole fleets with
 # 48 KiB PIs through its receipt, round-trip and per-journey digest checks,
@@ -51,9 +52,10 @@ cargo build --release -p pdagent-bench --bin chaos
     --intensities 0.5 --seeds 42 --shards 1,2 > /dev/null
 SOAK_CHAOS=1 ./target/release/soak 64 1,2 > /dev/null
 
-# Event-scheduler smoke: the wheel-vs-heap replay must pop byte-identical
-# (time, seq) streams (the binary exits nonzero on divergence), and every
-# criterion event-loop bench group must run clean (no name filter).
+# Event-queue smoke: the timer wheel's replay must pop the (time, seq)
+# stream of the binary-heap oracle byte for byte (the binary exits nonzero
+# on divergence), and every criterion event-loop bench group must run clean
+# (no name filter).
 cargo build --release -p pdagent-bench --bin event_queue
 ./target/release/event_queue 200000 5000 42 > /dev/null
 cargo bench -p pdagent-bench --bench event_queue > /dev/null
